@@ -63,6 +63,7 @@ from repro.core.repair import CompressionStats, GRePair
 from repro.core.streaming import StreamingCompressor
 from repro.encoding.container import (
     GrammarFile,
+    container_arity,
     container_sections,
     decode_grammar,
     encode_grammar,
@@ -85,7 +86,6 @@ from repro.serving.protocol import (
     GraphService,
     QueryKind,
 )
-from repro.util.varint import read_uvarint
 
 __all__ = ["CompressedGraph", "DEFAULT_CACHE_SIZE"]
 
@@ -261,9 +261,9 @@ class CompressedGraph(GraphService):
         # The header records the k2-tree arity; remembering it lets
         # to_bytes()/save() reuse the loaded bytes only when the
         # requested parameters actually match the file's encoding.
-        k, _ = read_uvarint(data, 5)
         return cls(grammar, container=container,
-                   container_key=(True, k), cache_size=cache_size)
+                   container_key=(True, container_arity(data)),
+                   cache_size=cache_size)
 
     @classmethod
     def open(cls, path: Union[str, Path],

@@ -29,19 +29,27 @@ convention::
     version 0x01                       1 byte
     shards  varint                     number of shard grammars
     [meta section]       varint length + payload (routing summary,
-                         encoded by repro.sharding)
+                         encode_sharded_meta / decode_sharded_meta)
     per shard: varint length + a complete "GRPR" container
     [closure section]    optional: tag 'C' + varint length + payload
-                         (boundary transitive closure, encoded by
-                         repro.partition.boundary)
+                         (the one-state boundary closure: the body
+                         repro.partition.BoundaryClosure.to_bytes
+                         writes — count, delta-coded nodes, rows)
+    [rpq closures]       optional: tag 'R' + varint length + payload
+                         (encode_closure_table / decode_closure_table:
+                         count, then per pattern a length-prefixed
+                         canonical DFA and a length-prefixed state
+                         count + the same closure body)
 
-The closure section is optional and tagged: old files (which end
-exactly at the last shard blob) keep decoding, while an *unknown* tag
-is rejected as corruption — adding a new trailer section therefore
-goes hand in hand with teaching this decoder its tag (readers predating
-a section cannot open files that carry it).  A persisted closure lets
-a cold-started server answer cross-shard reachability without
-re-probing the shards.
+Every byte layout of the format is in this module; the closure body
+and the DFA bytes are opaque here and belong to their classes.  The
+trailer sections are optional and tagged: old files (which end exactly
+at the last shard blob) keep decoding, while an *unknown* tag is
+rejected as corruption — adding a new trailer section therefore goes
+hand in hand with teaching this decoder its tag (readers predating a
+section cannot open files that carry it).  A persisted closure lets a
+cold-started server answer cross-shard queries without re-probing the
+shards.
 
 :func:`sharded_container_sections` reports ``meta`` (plus ``closure``
 when present) next to the existing per-section accounting of every
@@ -69,7 +77,8 @@ from __future__ import annotations
 import mmap
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, \
+    Union
 
 from repro.core.alphabet import Alphabet
 from repro.core.grammar import SLHRGrammar
@@ -373,15 +382,20 @@ class ShardedFile:
                    section_bytes=sharded_container_sections(data))
 
 
+def container_arity(blob: Buffer) -> int:
+    """The k2-tree arity a "GRPR" container's header records."""
+    return read_uvarint(blob, 5)[0]
+
+
 def is_sharded_container(data: Buffer) -> bool:
     """True when ``data`` frames a multi-shard ("GRPS") container."""
     return len(data) >= 5 and data[:4] == _SHARDED_MAGIC
 
 
-#: Trailer-section tag: the boundary transitive closure.
-_CLOSURE_TAG = 0x43  # 'C'
-#: Trailer-section tag: persisted per-pattern RPQ product closures.
-_RPQ_CLOSURE_TAG = 0x52  # 'R'
+#: Trailer-section tags -> section names, in the order the writer
+#: emits them: ``'C'`` is the (one-state) boundary transitive closure,
+#: ``'R'`` the per-pattern closure table.
+_TRAILER_TAGS = {0x43: "closure", 0x52: "rpq_closures"}
 
 
 def encode_sharded_container(meta: bytes,
@@ -391,15 +405,12 @@ def encode_sharded_container(meta: bytes,
                              ) -> ShardedFile:
     """Frame a routing summary plus per-shard "GRPR" blobs.
 
-    The framing is agnostic to the meta payload (built and consumed by
-    :mod:`repro.sharding`); every shard blob must be a complete
-    single-grammar container so the per-shard section accounting can be
-    reused as-is.  ``closure`` (an encoded
-    :class:`repro.partition.boundary.BoundaryClosure`) and
-    ``rpq_closures`` (the per-pattern
-    :class:`repro.partition.boundary.ProductClosure` table assembled by
-    :mod:`repro.sharding`) are written as tagged trailer sections when
-    given.
+    ``meta`` is an :func:`encode_sharded_meta` payload; every shard
+    blob must be a complete single-grammar container so the per-shard
+    section accounting can be reused as-is.  ``closure`` (the body of
+    the one-state :class:`repro.partition.boundary.BoundaryClosure`)
+    and ``rpq_closures`` (an :func:`encode_closure_table` payload) are
+    written as tagged trailer sections when given.
     """
     if not shard_blobs:
         raise EncodingError("a sharded container needs >= 1 shard")
@@ -419,16 +430,13 @@ def encode_sharded_container(meta: bytes,
         out.extend(blob)
         for section, size in container_sections(blob).items():
             sections[f"shard{index}/{section}"] = size
-    if closure is not None:
-        out.append(_CLOSURE_TAG)
-        write_uvarint(out, len(closure))
-        out.extend(closure)
-        sections["closure"] = len(closure)
-    if rpq_closures is not None:
-        out.append(_RPQ_CLOSURE_TAG)
-        write_uvarint(out, len(rpq_closures))
-        out.extend(rpq_closures)
-        sections["rpq_closures"] = len(rpq_closures)
+    for (tag, name), payload in zip(_TRAILER_TAGS.items(),
+                                    (closure, rpq_closures)):
+        if payload is not None:
+            out.append(tag)
+            write_uvarint(out, len(payload))
+            out.extend(payload)
+            sections[name] = len(payload)
     return ShardedFile(data=bytes(out), section_bytes=sections)
 
 
@@ -449,23 +457,22 @@ class DecodedContainer:
     ``repro stats --timing`` read them.
     """
 
-    __slots__ = ("data", "_meta_span", "_shard_spans", "_closure_span",
-                 "_rpq_span", "_meta", "_shards", "_closure", "_rpq",
+    __slots__ = ("data", "_meta_span", "_shard_spans", "_trailer_spans",
+                 "_meta", "_shards", "_trailers",
                  "materialized_bytes", "materialized_sections")
 
     def __init__(self, data: Buffer, meta_span: _Span,
                  shard_spans: Sequence[_Span],
-                 closure_span: Optional[_Span],
-                 rpq_span: Optional[_Span]) -> None:
+                 trailer_spans: Dict[str, _Span]) -> None:
         self.data = data
         self._meta_span = meta_span
         self._shard_spans = tuple(shard_spans)
-        self._closure_span = closure_span
-        self._rpq_span = rpq_span
+        #: Section name (a ``_TRAILER_TAGS`` value) -> span, in file
+        #: order, for the trailers this container carries.
+        self._trailer_spans = trailer_spans
         self._meta: Optional[bytes] = None
         self._shards: List[Optional[bytes]] = [None] * len(shard_spans)
-        self._closure: Optional[bytes] = None
-        self._rpq: Optional[bytes] = None
+        self._trailers: Dict[str, bytes] = {}
         #: Bytes copied out of the buffer so far, total / per section.
         self.materialized_bytes = 0
         self.materialized_sections: Dict[str, int] = {}
@@ -516,33 +523,33 @@ class DecodedContainer:
         """All shard blobs — the eager path for full-open readers."""
         return [self.shard(index) for index in range(self.num_shards)]
 
+    def _trailer(self, name: str) -> Optional[bytes]:
+        span = self._trailer_spans.get(name)
+        if span is None:
+            return None
+        if name not in self._trailers:
+            self._trailers[name] = self._take(name, span)
+        return self._trailers[name]
+
     @property
     def has_closure(self) -> bool:
         """Whether a boundary-closure trailer is present."""
-        return self._closure_span is not None
+        return "closure" in self._trailer_spans
 
     @property
     def has_rpq_closures(self) -> bool:
-        """Whether an RPQ-closure trailer is present."""
-        return self._rpq_span is not None
+        """Whether a per-pattern closure-table trailer is present."""
+        return "rpq_closures" in self._trailer_spans
 
     @property
     def closure(self) -> Optional[bytes]:
         """The boundary-closure payload, or ``None`` when absent."""
-        if self._closure_span is None:
-            return None
-        if self._closure is None:
-            self._closure = self._take("closure", self._closure_span)
-        return self._closure
+        return self._trailer("closure")
 
     @property
     def rpq_closures(self) -> Optional[bytes]:
-        """The RPQ-closure payload, or ``None`` when absent."""
-        if self._rpq_span is None:
-            return None
-        if self._rpq is None:
-            self._rpq = self._take("rpq_closures", self._rpq_span)
-        return self._rpq
+        """The closure-table payload, or ``None`` when absent."""
+        return self._trailer("rpq_closures")
 
     def section_bytes(self) -> Dict[str, int]:
         """Per-section size breakdown without materializing anything.
@@ -557,10 +564,8 @@ class DecodedContainer:
             for name, size in container_sections(
                     self.shard_view(index)).items():
                 sections[f"shard{index}/{name}"] = size
-        if self._closure_span is not None:
-            sections["closure"] = self._closure_span[1]
-        if self._rpq_span is not None:
-            sections["rpq_closures"] = self._rpq_span[1]
+        for name, span in self._trailer_spans.items():
+            sections[name] = span[1]
         return sections
 
 
@@ -570,8 +575,9 @@ def decode_sharded_container(data: Buffer) -> DecodedContainer:
     Only the framing is validated (and only the length headers are
     read — payloads stay in the source buffer until accessed); the
     shard blobs are decoded by :func:`decode_grammar`, the meta payload
-    by :mod:`repro.sharding` and the closure payloads by
-    :mod:`repro.partition.boundary`.
+    by :func:`decode_sharded_meta`, the closure trailer by
+    :mod:`repro.partition.boundary` and the per-pattern trailer by
+    :func:`decode_closure_table`.
     """
     if len(data) < 6:
         raise EncodingError("sharded container too short")
@@ -598,26 +604,17 @@ def decode_sharded_container(data: Buffer) -> DecodedContainer:
                 raise EncodingError("truncated shard blob")
             shard_spans.append((pos, blob_len))
             pos += blob_len
-        closure_span: Optional[_Span] = None
-        rpq_span: Optional[_Span] = None
+        trailer_spans: Dict[str, _Span] = {}
         while pos < len(data):
-            tag = data[pos]
-            pos += 1
-            if tag == _CLOSURE_TAG and closure_span is None:
-                name = "closure"
-            elif tag == _RPQ_CLOSURE_TAG and rpq_span is None:
-                name = "rpq closure"
-            else:
+            name = _TRAILER_TAGS.get(data[pos])
+            if name is None or name in trailer_spans:
                 raise EncodingError(
-                    f"unknown trailing section tag {tag:#04x} after "
-                    "the last shard")
-            section_len, pos = read_uvarint(data, pos)
+                    f"unknown trailing section tag {data[pos]:#04x} "
+                    "after the last shard")
+            section_len, pos = read_uvarint(data, pos + 1)
             if pos + section_len > len(data):
                 raise EncodingError(f"truncated {name} section")
-            if tag == _CLOSURE_TAG:
-                closure_span = (pos, section_len)
-            else:
-                rpq_span = (pos, section_len)
+            trailer_spans[name] = (pos, section_len)
             pos += section_len
     except (IndexError, ValueError) as exc:
         raise EncodingError(f"corrupt sharded container: {exc}") \
@@ -625,8 +622,7 @@ def decode_sharded_container(data: Buffer) -> DecodedContainer:
     if pos != len(data):
         raise EncodingError(
             f"{len(data) - pos} trailing bytes after the last section")
-    return DecodedContainer(data, meta_span, shard_spans,
-                            closure_span, rpq_span)
+    return DecodedContainer(data, meta_span, shard_spans, trailer_spans)
 
 
 def sharded_container_sections(data: Buffer) -> Dict[str, int]:
@@ -640,3 +636,188 @@ def sharded_container_sections(data: Buffer) -> Dict[str, int]:
         return decode_sharded_container(data).section_bytes()
     except EncodingError:
         return {}
+
+
+# ----------------------------------------------------------------------
+# Meta section codec (the routing summary inside the "GRPS" container)
+# ----------------------------------------------------------------------
+_META_VERSION = 1
+_EXTREMA_FIELDS = ("max_out", "min_out", "max_in", "min_in", "max", "min")
+
+
+class ShardedMeta(NamedTuple):
+    """The routing summary a sharded handle is rebuilt from.
+
+    Boundary edges and blocks are in global (shard-major) node IDs;
+    boundary-edge labels are compact container IDs (terminal position,
+    1-based) on the wire.
+    """
+
+    shard_nodes: List[int]
+    boundary_edges: List[Tuple[int, Tuple[int, ...]]]
+    blocks: List[List[Tuple[int, ...]]]
+    extrema: Optional[Dict[str, int]]
+    degree_error: Optional[str]
+    simple: bool
+    partitioner: str
+
+
+def encode_sharded_meta(meta: ShardedMeta) -> bytes:
+    """Serialize the routing summary (the "GRPS" meta section)."""
+    out = bytearray()
+    write_uvarint(out, _META_VERSION)
+    name = meta.partitioner.encode("utf-8")
+    write_uvarint(out, len(name))
+    out.extend(name)
+    out.append(1 if meta.simple else 0)
+    write_uvarint(out, len(meta.shard_nodes))
+    for count in meta.shard_nodes:
+        write_uvarint(out, count)
+    if meta.extrema is not None:
+        out.append(1)
+        for field in _EXTREMA_FIELDS:
+            write_uvarint(out, meta.extrema[field])
+    else:
+        out.append(0)
+        message = (meta.degree_error or "").encode("utf-8")
+        write_uvarint(out, len(message))
+        out.extend(message)
+    write_uvarint(out, len(meta.boundary_edges))
+    for label, att in meta.boundary_edges:
+        write_uvarint(out, label)
+        write_uvarint(out, len(att))
+        for node in att:
+            write_uvarint(out, node)
+    write_uvarint(out, len(meta.blocks))
+    for shard_blocks in meta.blocks:
+        write_uvarint(out, len(shard_blocks))
+        for block in shard_blocks:
+            write_uvarint(out, len(block))
+            for node in block:
+                write_uvarint(out, node)
+    return bytes(out)
+
+
+def decode_sharded_meta(data: bytes, num_shards: int) -> ShardedMeta:
+    """Parse a meta section written by :func:`encode_sharded_meta`."""
+    try:
+        pos = 0
+        version, pos = read_uvarint(data, pos)
+        if version != _META_VERSION:
+            raise EncodingError(
+                f"unsupported sharded meta version {version}")
+        name_len, pos = read_uvarint(data, pos)
+        partitioner = data[pos:pos + name_len].decode("utf-8")
+        pos += name_len
+        simple = bool(data[pos])
+        pos += 1
+        count, pos = read_uvarint(data, pos)
+        shard_nodes: List[int] = []
+        for _ in range(count):
+            nodes, pos = read_uvarint(data, pos)
+            shard_nodes.append(nodes)
+        extrema: Optional[Dict[str, int]] = None
+        degree_error: Optional[str] = None
+        flag = data[pos]
+        pos += 1
+        if flag:
+            values = []
+            for _ in _EXTREMA_FIELDS:
+                value, pos = read_uvarint(data, pos)
+                values.append(value)
+            extrema = dict(zip(_EXTREMA_FIELDS, values))
+        else:
+            msg_len, pos = read_uvarint(data, pos)
+            degree_error = (data[pos:pos + msg_len].decode("utf-8")
+                            or None)
+            pos += msg_len
+        edge_count, pos = read_uvarint(data, pos)
+        boundary_edges: List[Tuple[int, Tuple[int, ...]]] = []
+        for _ in range(edge_count):
+            label, pos = read_uvarint(data, pos)
+            rank, pos = read_uvarint(data, pos)
+            att = []
+            for _ in range(rank):
+                node, pos = read_uvarint(data, pos)
+                att.append(node)
+            boundary_edges.append((label, tuple(att)))
+        block_shards, pos = read_uvarint(data, pos)
+        if block_shards != num_shards:
+            raise EncodingError(
+                f"meta blocks cover {block_shards} shards, expected "
+                f"{num_shards}"
+            )
+        blocks: List[List[Tuple[int, ...]]] = []
+        for _ in range(block_shards):
+            shard_count, pos = read_uvarint(data, pos)
+            shard_blocks = []
+            for _ in range(shard_count):
+                size, pos = read_uvarint(data, pos)
+                block = []
+                for _ in range(size):
+                    node, pos = read_uvarint(data, pos)
+                    block.append(node)
+                shard_blocks.append(tuple(block))
+            blocks.append(shard_blocks)
+        if pos != len(data):
+            raise EncodingError(
+                f"{len(data) - pos} trailing bytes in sharded meta")
+    except (IndexError, ValueError) as exc:
+        raise EncodingError(f"corrupt sharded meta: {exc}") from None
+    return ShardedMeta(shard_nodes, boundary_edges, blocks, extrema,
+                       degree_error, simple, partitioner)
+
+
+# ----------------------------------------------------------------------
+# Per-pattern closure table codec (the "GRPS" 'R' trailer section)
+# ----------------------------------------------------------------------
+#: One table entry: the canonical pattern-DFA bytes, the automaton's
+#: state count, and the closure body (the same body the 'C' section
+#: holds for one state).
+ClosureEntry = Tuple[bytes, int, bytes]
+
+
+def encode_closure_table(entries: Sequence[ClosureEntry]) -> bytes:
+    """``count`` + per entry the DFA and ``num_states`` + closure body,
+    each length-prefixed.  Callers pass entries sorted by DFA bytes, so
+    the section is deterministic for a given set of warmed patterns."""
+    out = bytearray()
+    write_uvarint(out, len(entries))
+    for dfa_bytes, num_states, body in entries:
+        write_uvarint(out, len(dfa_bytes))
+        out.extend(dfa_bytes)
+        closure = bytearray()
+        write_uvarint(closure, num_states)
+        closure.extend(body)
+        write_uvarint(out, len(closure))
+        out.extend(closure)
+    return bytes(out)
+
+
+def decode_closure_table(data: bytes) -> List[ClosureEntry]:
+    """Split an ``'R'`` section into its entries (payloads undecoded)."""
+    try:
+        count, pos = read_uvarint(data, 0)
+        entries: List[ClosureEntry] = []
+        for _ in range(count):
+            dfa_len, pos = read_uvarint(data, pos)
+            if pos + dfa_len > len(data):
+                raise EncodingError("truncated rpq closure DFA")
+            dfa_bytes = data[pos:pos + dfa_len]
+            pos += dfa_len
+            closure_len, pos = read_uvarint(data, pos)
+            end = pos + closure_len
+            if end > len(data):
+                raise EncodingError("truncated rpq closure rows")
+            num_states, pos = read_uvarint(data, pos)
+            if pos > end:
+                raise EncodingError("truncated rpq closure rows")
+            entries.append((dfa_bytes, num_states, data[pos:end]))
+            pos = end
+    except (IndexError, ValueError) as exc:
+        raise EncodingError(
+            f"corrupt rpq closure section: {exc}") from None
+    if pos != len(data):
+        raise EncodingError(
+            f"{len(data) - pos} trailing bytes in rpq closure section")
+    return entries

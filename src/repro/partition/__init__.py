@@ -12,24 +12,25 @@ concern is a module of its own:
     :func:`build_plan`: assignment -> pinned shard subgraphs + the
     boundary summary + degree extrema + cut statistics.
 ``boundary``
-    :class:`BoundaryGraph` (the cross-shard summary in global IDs)
-    and :class:`BoundaryClosure` (the persisted transitive closure
-    that turns cross-shard ``reach`` into one in-shard batch per
-    endpoint shard), plus :class:`ProductClosure` — the same closure
-    in the product with a pattern DFA, serving cross-shard RPQs.
+    :class:`BoundaryGraph` (the cross-shard summary in global IDs),
+    :class:`BoundaryAutomaton` (the path language a route follows:
+    one universal state for ``reach``, a pattern DFA for ``rpq``) and
+    :class:`BoundaryClosure` (the persisted transitive closure over
+    ``(boundary node, state)`` vertices that turns a cross-shard
+    ``reach`` or ``rpq`` into one in-shard batch per endpoint shard).
 ``planner``
     :class:`ReachPlanner`: the cost model choosing closure /
-    chaining / BFS per query, shared by the in-process handle and
-    the socket router.
+    chaining / BFS per query and automaton size, shared by the
+    in-process handle and the socket router.
 
 :class:`repro.sharding.ShardedCompressedGraph` is the orchestration
 glue on top of this layer.
 """
 
 from repro.partition.boundary import (
+    BoundaryAutomaton,
     BoundaryClosure,
     BoundaryGraph,
-    ProductClosure,
 )
 from repro.partition.partitioners import (
     PARTITIONERS,
@@ -45,10 +46,10 @@ from repro.partition.planner import ReachPlan, ReachPlanner
 
 __all__ = [
     "PARTITIONERS",
+    "BoundaryAutomaton",
     "BoundaryClosure",
     "BoundaryGraph",
     "PartitionPlan",
-    "ProductClosure",
     "ReachPlan",
     "ReachPlanner",
     "bfs_partition",

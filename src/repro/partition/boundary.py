@@ -8,46 +8,46 @@ identity.  This module owns everything built on that summary:
 :class:`BoundaryGraph`
     The summary itself, in the shard-major global ID space: the raw
     boundary edges, the merged neighborhood maps (``out``/``into``/
-    ``undirected``), the per-shard *exit* (has an outgoing boundary
-    edge) and *entry* (has an incoming one) lists, the within-shard
-    connectivity blocks ``components()`` merges, and which shards the
-    boundary touches at all.
+    ``undirected``), the labeled ``out_edges``, the per-shard *exit*
+    (has an outgoing boundary edge) and *entry* (has an incoming one)
+    lists, the within-shard connectivity blocks ``components()``
+    merges, and which shards the boundary touches at all.
+:class:`BoundaryAutomaton`
+    The path language a cross-shard route follows: the universal
+    one-state automaton (plain ``reach``) or a compiled pattern DFA
+    (``rpq``).  Reach *is* RPQ over one state, so everything below —
+    and the planner, and the sharded handle's routes — exists once.
 :class:`BoundaryClosure`
-    The transitive closure of the *boundary graph* — the directed
-    graph over boundary nodes whose edges are (a) the boundary edges
-    themselves and (b) in-shard reachability between two boundary
-    nodes of the same shard (one Theorem-6 probe each, shipped as a
-    single ``batch()`` per shard).  Any cross-shard path decomposes
-    as: an in-shard prefix to the first exit, a walk through this
-    graph, and an in-shard suffix from the last entry — so with the
-    closure in hand, every cross-shard ``reach`` costs one in-shard
-    batch per endpoint shard plus O(1) closure lookups, instead of
-    per-hop chaining.
+    The transitive closure of the *boundary graph* in the product with
+    an automaton — the directed graph over ``(boundary node, state)``
+    vertices whose arcs are (a) the boundary edges themselves, stepping
+    the automaton on their label, and (b) in-shard state-to-state
+    connectivity between two boundary nodes of the same shard (one
+    probe each, shipped as a single ``batch()`` per shard; for reach
+    that probe is the Theorem-6 query).  Any cross-shard path
+    decomposes as: an in-shard prefix to the first exit, a walk
+    through this graph, and an in-shard suffix from the last entry —
+    so with the closure in hand, every cross-shard ``reach`` or ``rpq``
+    costs one in-shard batch per endpoint shard plus O(1) closure
+    lookups, instead of per-hop chaining.
 
-    Rows are integer bitmasks over the sorted boundary-node list,
-    and the byte encoding is canonical (sorted, delta-coded IDs +
-    fixed-width little-endian rows), so a closure loaded from the
-    "GRPS" container is byte-identical to a rebuilt one.
-:class:`ProductClosure`
-    The same construction lifted to the product with a pattern DFA:
-    vertices are ``(boundary node, DFA state)`` pairs, arcs are (a)
-    boundary edges stepping the DFA on their label and (b) in-shard
-    RPQ state-to-state probes (one ``batch()`` per shard, exactly the
-    reach-closure shape).  With it, a cross-shard RPQ costs one
-    in-shard batch per endpoint shard plus O(1) lookups — the
-    per-label boundary closure the sharded RPQ evaluator plans with.
+    Rows are integer bitmasks over the sorted boundary-node list
+    (times the state count), and the byte encoding is canonical
+    (sorted, delta-coded IDs + fixed-width little-endian rows), so a
+    closure loaded from the "GRPS" container is byte-identical to a
+    rebuilt one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Callable, Dict, Iterable, List, Optional, \
-    Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, \
+    NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import EncodingError
 from repro.util.varint import read_uvarint, write_uvarint
 
-__all__ = ["BoundaryClosure", "BoundaryGraph", "ProductClosure"]
+__all__ = ["BoundaryAutomaton", "BoundaryClosure", "BoundaryGraph"]
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -67,8 +67,8 @@ class BoundaryGraph:
     """
 
     __slots__ = ("edges", "blocks", "out", "into", "undirected",
-                 "incident", "touched", "exits", "entries", "members",
-                 "total_exits", "total_entries", "_bases")
+                 "out_edges", "incident", "touched", "exits", "entries",
+                 "members", "total_exits", "total_entries", "_bases")
 
     def __init__(self, edges: List[Tuple[int, Tuple[int, ...]]],
                  blocks: List[List[Tuple[int, ...]]],
@@ -80,11 +80,16 @@ class BoundaryGraph:
         b_out: Dict[int, set] = {}
         b_in: Dict[int, set] = {}
         b_any: Dict[int, set] = {}
+        #: node -> its outgoing rank-2 boundary edges as
+        #: ``(label, target)`` pairs, in edge order.
+        self.out_edges: Dict[int, List[Tuple[int, int]]] = {}
         for label, att in edges:
             if len(att) == 2:
                 source, target = att
                 b_out.setdefault(source, set()).add(target)
                 b_in.setdefault(target, set()).add(source)
+                self.out_edges.setdefault(source, []).append(
+                    (label, target))
             for node in att:
                 others = b_any.setdefault(node, set())
                 others.update(other for other in att if other != node)
@@ -124,177 +129,92 @@ class BoundaryGraph:
         return len(self.edges)
 
     def closure_pairs(self) -> int:
-        """In-shard reach probes a closure build costs (ordered pairs)."""
+        """In-shard probes a one-state closure build costs (ordered
+        pairs); ``|Q|^2`` times that for a ``|Q|``-state automaton."""
         return sum(len(nodes) * (len(nodes) - 1)
                    for nodes in self.members)
 
 
-class BoundaryClosure:
-    """Transitive closure over the boundary nodes, as bitmask rows.
+class BoundaryAutomaton(NamedTuple):
+    """The path language a cross-shard route walks the boundary with.
 
-    ``rows[i]`` has bit ``j`` set iff boundary node ``nodes[j]`` is
-    reachable from ``nodes[i]`` through at least one boundary-graph
-    edge (the relation is *not* reflexive; callers add the source
-    themselves where identity matters).
+    A value, not a switch: the closure builder and the sharded
+    handle's ``closure / chaining / bfs`` routes read only these
+    fields, so plain reachability and regular path queries share one
+    mechanism.  Exactly two constructors: :meth:`universal` and
+    :meth:`for_pattern`.
     """
 
-    __slots__ = ("nodes", "rows", "_index")
+    #: Closure-table key: ``None`` for reach, the canonical DFA key
+    #: for a pattern (equivalent patterns share one closure).
+    key: Any
+    dfa: Any
+    num_states: int
+    start: int
+    accept: FrozenSet[int]
+    #: ``step(state, label_name)``: the transition on a boundary edge,
+    #: ``None`` where the automaton has none.
+    step: Callable[[int, Optional[str]], Optional[int]]
+    #: ``probe(a, b, q, q2=None)``: the in-shard request "does some
+    #: ``a -> b`` path (shard-local IDs) take state ``q`` to ``q2``" —
+    #: with ``q2=None``, to any of this query's accept states.
+    probe: Callable[..., Tuple[Any, ...]]
 
-    def __init__(self, nodes: List[int], rows: List[int]) -> None:
-        self.nodes = nodes
-        self.rows = rows
-        self._index = {node: position
-                       for position, node in enumerate(nodes)}
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     @classmethod
-    def build(cls, boundary: BoundaryGraph, shards: Sequence[Any],
-              bases: Sequence[int]) -> "BoundaryClosure":
-        """Probe the shards and close the boundary graph.
+    def universal(cls) -> "BoundaryAutomaton":
+        """One state, every label loops: plain reachability.
 
-        One ``shard.batch()`` per shard covers every ordered pair of
-        that shard's boundary nodes (the in-shard edges); the boundary
-        edges themselves need no probes.  Works identically over local
-        :class:`repro.api.CompressedGraph` handles and socket-proxy
-        shards — ``batch`` is the wire format.
+        Its probes are ``("reach", a, b)``, so in-shard work stays the
+        Theorem-6 kernel rather than a one-state RPQ evaluation.
         """
-        nodes = sorted(boundary.incident)
-        index = {node: position for position, node in enumerate(nodes)}
-        adjacency = [0] * len(nodes)
-        for source, targets in boundary.out.items():
-            row = index[source]
-            for target in targets:
-                adjacency[row] |= 1 << index[target]
-        for shard, members in enumerate(boundary.members):
-            pairs = [(a, b) for a in members for b in members if a != b]
-            if not pairs:
-                continue
-            base = bases[shard]
-            answers = shards[shard].batch(
-                [("reach", a - base, b - base) for a, b in pairs])
-            for (a, b), reachable in zip(pairs, answers):
-                if reachable:
-                    adjacency[index[a]] |= 1 << index[b]
-        rows: List[int] = []
-        for start in range(len(nodes)):
-            seen = 0
-            frontier = adjacency[start]
-            while frontier:
-                seen |= frontier
-                step = 0
-                for bit in _bits(frontier):
-                    step |= adjacency[bit]
-                frontier = step & ~seen
-            rows.append(seen)
-        return cls(nodes, rows)
-
-    # ------------------------------------------------------------------
-    # Lookups (global node IDs in, global node IDs out)
-    # ------------------------------------------------------------------
-    def row_mask(self, node: int) -> int:
-        """Bitmask of boundary nodes reachable from ``node``."""
-        return self.rows[self._index[node]]
-
-    def bit(self, node: int) -> int:
-        """The single-bit mask of one boundary node."""
-        return 1 << self._index[node]
-
-    def mask_of(self, nodes: Iterable[int]) -> int:
-        """The union mask of several boundary nodes."""
-        mask = 0
-        for node in nodes:
-            mask |= 1 << self._index[node]
-        return mask
-
-    def nodes_in(self, mask: int) -> List[int]:
-        """The boundary nodes a mask selects, ascending."""
-        return [self.nodes[bit] for bit in _bits(mask)]
-
-    def reaches(self, source: int, target: int) -> bool:
-        """Whether ``target`` is closure-reachable from ``source``."""
-        return bool(self.rows[self._index[source]]
-                    & (1 << self._index[target]))
-
-    # ------------------------------------------------------------------
-    # Codec (the optional "GRPS" closure section)
-    # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Canonical encoding: delta-coded IDs + fixed-width rows."""
-        out = bytearray()
-        write_uvarint(out, len(self.nodes))
-        previous = 0
-        for node in self.nodes:
-            write_uvarint(out, node - previous)
-            previous = node
-        row_bytes = (len(self.nodes) + 7) // 8
-        for row in self.rows:
-            out.extend(row.to_bytes(row_bytes, "little"))
-        return bytes(out)
+        return cls(None, None, 1, 0, frozenset((0,)),
+                   lambda state, name: 0,
+                   lambda a, b, q=0, q2=None: ("reach", a, b))
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "BoundaryClosure":
-        """Decode a closure section; validates the exact length."""
-        try:
-            count, pos = read_uvarint(data, 0)
-            nodes: List[int] = []
-            previous = 0
-            for _ in range(count):
-                delta, pos = read_uvarint(data, pos)
-                previous += delta
-                nodes.append(previous)
-            row_bytes = (count + 7) // 8
-            rows: List[int] = []
-            for _ in range(count):
-                if pos + row_bytes > len(data):
-                    raise EncodingError("truncated closure row")
-                row = int.from_bytes(data[pos:pos + row_bytes],
-                                     "little")
-                if row >> count:
-                    raise EncodingError(
-                        "closure row has bits beyond the node count")
-                rows.append(row)
-                pos += row_bytes
-        except (EncodingError, IndexError, ValueError) as exc:
-            raise EncodingError(f"corrupt closure section: {exc}") \
-                from None
-        if pos != len(data):
-            raise EncodingError(
-                f"{len(data) - pos} trailing bytes in closure section")
-        return cls(nodes, rows)
+    def for_pattern(cls, pattern: str, dfa: Any,
+                    start: Optional[int] = None,
+                    to_state: Optional[int] = None
+                    ) -> "BoundaryAutomaton":
+        """Wrap a compiled :class:`repro.rpq.regex.PatternDFA`.
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, BoundaryClosure)
-                and self.nodes == other.nodes
-                and self.rows == other.rows)
-
-    def __repr__(self) -> str:
-        reachable = sum(row.bit_count() for row in self.rows)
-        return (f"BoundaryClosure(nodes={len(self.nodes)}, "
-                f"pairs={reachable})")
+        Probes ship the pattern *text*: every evaluator compiles it to
+        the same canonical DFA, so state numbers agree end to end.
+        ``start`` / ``to_state`` are one query's (already validated)
+        state overrides: run from ``start`` instead of the DFA's start
+        state, accept in ``{to_state}`` instead of its accepting set.
+        """
+        tail = () if to_state is None else (to_state,)
+        return cls(
+            dfa.key, dfa, dfa.num_states,
+            dfa.start if start is None else start,
+            dfa.accepting if to_state is None else frozenset(tail),
+            dfa.step_name,
+            lambda a, b, q, q2=None: (
+                ("rpq", pattern, a, b, q, *tail) if q2 is None
+                else ("rpq", pattern, a, b, q, q2)))
 
 
-class ProductClosure:
-    """Boundary closure in the product with a pattern DFA.
+class BoundaryClosure:
+    """Transitive closure of the boundary graph x automaton product.
 
     Vertices are ``(boundary node, state)`` pairs laid out row-major —
     bit/row index ``position(node) * num_states + state`` — over the
-    sorted boundary-node list.  ``rows[i]`` has bit ``j`` set iff
-    product vertex ``j`` is reachable from vertex ``i`` through at
-    least one arc (like :class:`BoundaryClosure`, the relation is not
-    reflexive; callers add the source vertex where the empty path
-    matters).
+    sorted boundary-node list; with one state (plain reachability) a
+    vertex is just a boundary node.  ``rows[i]`` has bit ``j`` set iff
+    vertex ``j`` is reachable from vertex ``i`` through at least one
+    arc (the relation is *not* reflexive; callers add the source
+    vertex themselves where the empty path matters).
     """
 
-    __slots__ = ("nodes", "num_states", "rows", "_index")
+    __slots__ = ("nodes", "rows", "num_states", "_index")
 
-    def __init__(self, nodes: List[int], num_states: int,
-                 rows: List[int]) -> None:
+    def __init__(self, nodes: List[int], rows: List[int],
+                 num_states: int = 1) -> None:
         self.nodes = nodes
-        self.num_states = num_states
         self.rows = rows
-        self._index = {node: position
+        self.num_states = num_states
+        self._index = {node: position * num_states
                        for position, node in enumerate(nodes)}
 
     # ------------------------------------------------------------------
@@ -302,53 +222,53 @@ class ProductClosure:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, boundary: BoundaryGraph, shards: Sequence[Any],
-              bases: Sequence[int], pattern: str, num_states: int,
-              step: Callable[[int, int], Optional[int]]
-              ) -> "ProductClosure":
+              bases: Sequence[int], automaton: BoundaryAutomaton,
+              label_name: Callable[[int], Optional[str]]
+              ) -> "BoundaryClosure":
         """Probe the shards and close the product boundary graph.
 
         Arcs come from two sources: each boundary edge ``u -l-> v``
-        contributes ``(u, q) -> (v, step(q, l))`` for every state the
-        DFA can step on that label (``step`` maps a state and an *edge
-        label ID* to the successor state or ``None``); and each shard
-        answers one ``batch()`` of state-to-state RPQ probes
-        ``("rpq", pattern, a, b, q, q2)`` covering every ordered pair
-        of its boundary nodes and state pair — including ``a == b``
-        with ``q != q2``, because an in-shard cycle can advance the
-        automaton without leaving the node.
+        contributes ``(u, q) -> (v, step(q, name(l)))`` for every
+        state the automaton can step on that label; and each shard
+        answers **one** ``batch()`` of ``automaton.probe`` requests
+        covering every ordered pair of its boundary nodes and state
+        pair except the identity — including ``a == b`` with
+        ``q != q2``, because an in-shard cycle can advance the
+        automaton without leaving the node.  Works identically over
+        local :class:`repro.api.CompressedGraph` handles and
+        socket-proxy shards — ``batch`` is the wire format.
         """
         nodes = sorted(boundary.incident)
-        index = {node: position for position, node in enumerate(nodes)}
+        num_states = automaton.num_states
+        index = {node: position * num_states
+                 for position, node in enumerate(nodes)}
         size = len(nodes) * num_states
-
-        def vertex(node: int, state: int) -> int:
-            return index[node] * num_states + state
-
+        states = range(num_states)
         adjacency = [0] * size
         for label, att in boundary.edges:
             if len(att) != 2:
                 continue
             source, target = att
-            for state in range(num_states):
-                nxt = step(state, label)
+            name = label_name(label)
+            for state in states:
+                nxt = automaton.step(state, name)
                 if nxt is not None:
-                    adjacency[vertex(source, state)] |= \
-                        1 << vertex(target, nxt)
+                    adjacency[index[source] + state] |= \
+                        1 << (index[target] + nxt)
         for shard, members in enumerate(boundary.members):
             probes = [(a, b, q, q2)
                       for a in members for b in members
-                      for q in range(num_states)
-                      for q2 in range(num_states)
+                      for q in states for q2 in states
                       if not (a == b and q == q2)]
             if not probes:
                 continue
             base = bases[shard]
             answers = shards[shard].batch(
-                [("rpq", pattern, a - base, b - base, q, q2)
+                [automaton.probe(a - base, b - base, q, q2)
                  for a, b, q, q2 in probes])
             for (a, b, q, q2), matched in zip(probes, answers):
                 if matched:
-                    adjacency[vertex(a, q)] |= 1 << vertex(b, q2)
+                    adjacency[index[a] + q] |= 1 << (index[b] + q2)
         rows: List[int] = []
         for start in range(size):
             seen = 0
@@ -360,24 +280,24 @@ class ProductClosure:
                     hop |= adjacency[bit]
                 frontier = hop & ~seen
             rows.append(seen)
-        return cls(nodes, num_states, rows)
+        return cls(nodes, rows, num_states)
 
     # ------------------------------------------------------------------
-    # Lookups (global node IDs + DFA states in)
+    # Lookups (global node IDs + automaton states in)
     # ------------------------------------------------------------------
-    def bit(self, node: int, state: int) -> int:
+    def bit(self, node: int, state: int = 0) -> int:
         """The single-bit mask of one ``(node, state)`` vertex."""
-        return 1 << (self._index[node] * self.num_states + state)
+        return 1 << (self._index[node] + state)
 
-    def row_mask(self, node: int, state: int) -> int:
-        """Mask of product vertices reachable from ``(node, state)``."""
-        return self.rows[self._index[node] * self.num_states + state]
+    def row_mask(self, node: int, state: int = 0) -> int:
+        """Mask of the vertices reachable from ``(node, state)``."""
+        return self.rows[self._index[node] + state]
 
     def mask_of(self, vertices: Iterable[Tuple[int, int]]) -> int:
         """The union mask of several ``(node, state)`` vertices."""
         mask = 0
         for node, state in vertices:
-            mask |= 1 << (self._index[node] * self.num_states + state)
+            mask |= 1 << (self._index[node] + state)
         return mask
 
     def vertices_in(self, mask: int) -> List[Tuple[int, int]]:
@@ -387,31 +307,34 @@ class ProductClosure:
                 for bit in _bits(mask)]
 
     # ------------------------------------------------------------------
-    # Codec (one entry of the "GRPS" RPQ-closure trailer section)
+    # Codec (the body of a "GRPS" closure section)
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Canonical encoding: the reach-closure layout + a state count."""
+        """Canonical encoding: delta-coded IDs + fixed-width rows.
+
+        The state count is not part of the body: the ``'C'`` section
+        is always one state, and an ``'R'`` entry prefixes it (see
+        :func:`repro.encoding.container.encode_closure_table`).
+        """
         out = bytearray()
-        write_uvarint(out, self.num_states)
         write_uvarint(out, len(self.nodes))
         previous = 0
         for node in self.nodes:
             write_uvarint(out, node - previous)
             previous = node
-        size = len(self.nodes) * self.num_states
-        row_bytes = (size + 7) // 8
+        row_bytes = (len(self.nodes) * self.num_states + 7) // 8
         for row in self.rows:
             out.extend(row.to_bytes(row_bytes, "little"))
         return bytes(out)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "ProductClosure":
-        """Decode a product-closure entry; validates the exact length."""
+    def from_bytes(cls, data: bytes, num_states: int = 1
+                   ) -> "BoundaryClosure":
+        """Decode a closure body; validates the exact length."""
         try:
-            num_states, pos = read_uvarint(data, 0)
             if num_states < 1:
-                raise EncodingError("product closure needs >= 1 state")
-            count, pos = read_uvarint(data, pos)
+                raise EncodingError("a closure needs >= 1 state")
+            count, pos = read_uvarint(data, 0)
             nodes: List[int] = []
             previous = 0
             for _ in range(count):
@@ -423,30 +346,29 @@ class ProductClosure:
             rows: List[int] = []
             for _ in range(size):
                 if pos + row_bytes > len(data):
-                    raise EncodingError("truncated product-closure row")
+                    raise EncodingError("truncated closure row")
                 row = int.from_bytes(data[pos:pos + row_bytes],
                                      "little")
                 if row >> size:
-                    raise EncodingError("product-closure row has bits "
-                                        "beyond the vertex count")
+                    raise EncodingError(
+                        "closure row has bits beyond the vertex count")
                 rows.append(row)
                 pos += row_bytes
         except (EncodingError, IndexError, ValueError) as exc:
-            raise EncodingError(
-                f"corrupt product-closure section: {exc}") from None
+            raise EncodingError(f"corrupt closure section: {exc}") \
+                from None
         if pos != len(data):
             raise EncodingError(
-                f"{len(data) - pos} trailing bytes in product-closure "
-                f"section")
-        return cls(nodes, num_states, rows)
+                f"{len(data) - pos} trailing bytes in closure section")
+        return cls(nodes, rows, num_states)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ProductClosure)
+        return (isinstance(other, BoundaryClosure)
                 and self.nodes == other.nodes
                 and self.num_states == other.num_states
                 and self.rows == other.rows)
 
     def __repr__(self) -> str:
         reachable = sum(row.bit_count() for row in self.rows)
-        return (f"ProductClosure(nodes={len(self.nodes)}, "
+        return (f"BoundaryClosure(nodes={len(self.nodes)}, "
                 f"states={self.num_states}, pairs={reachable})")

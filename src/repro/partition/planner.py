@@ -1,22 +1,26 @@
-"""Cost-based planning of cross-shard reachability queries.
+"""Cost-based planning of cross-shard path queries (reach and RPQ).
 
-The sharded handle used to hard-code one branch: chain boundary hops
-when ``exits^2 <= |val|``, else BFS the merged neighborhoods.  The
-planner replaces that with an explicit decision over *three* regimes,
-priced from the boundary statistics every handle already has:
+Plain reachability is a regular path query over the universal
+one-state automaton, so one cost model prices both: every estimate
+below carries a ``num_states`` factor that is 1 for ``reach`` and the
+pattern DFA's ``|Q|`` for ``rpq``.  The decision is over *three*
+regimes, priced from the boundary statistics every handle already
+has:
 
 ``closure``
-    One in-shard Theorem-6 batch per endpoint shard plus O(1) hops in
-    the :class:`repro.partition.boundary.BoundaryClosure`.  Per-query
-    cost ``exits(S_s) + entries(S_t)`` probes — but the closure must
-    first be built (``closure_pairs()`` probes, once per handle), so
-    it is only eligible while that build fits ``closure_budget``.
+    One in-shard batch per endpoint shard plus O(1) hops in the
+    :class:`repro.partition.boundary.BoundaryClosure`.  Per-query cost
+    ``(exits(S_s) + entries(S_t)) * |Q|`` probes — but the closure
+    must first be built (``closure_pairs() * |Q|^2`` probes, once per
+    handle and automaton), so it is only eligible while that build
+    fits ``closure_budget``.
 ``chaining``
     Per-hop boundary chaining; worst case it probes every exit from
-    every entered boundary node: ``total_exits * total_entries``.
+    every entered boundary vertex:
+    ``total_exits * total_entries * |Q|^2``.
 ``bfs``
-    Plain BFS over the merged (LRU-backed) neighborhoods; cost scales
-    with the derived graph, ``~ total_nodes`` expansions.
+    Plain BFS over the merged (LRU-backed) labeled adjacency; cost
+    scales with the derived graph, ``~ total_nodes * |Q|`` expansions.
 
 :meth:`ReachPlanner.plan` returns the cheapest eligible strategy as a
 :class:`ReachPlan` carrying the estimates, so tests, benchmarks and
@@ -29,7 +33,7 @@ served answers take the same route local ones do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.partition.boundary import BoundaryGraph
 
@@ -75,117 +79,94 @@ class ReachPlanner:
         #: the cost model.  ``None`` restores cost-based planning.
         self.force: Optional[str] = None
 
-    @property
-    def closure_allowed(self) -> bool:
-        """Whether a closure build fits the probe budget."""
-        boundary = self._boundary
-        return (boundary.edge_count > 0
-                and boundary.closure_pairs() <= self.closure_budget)
+    def closure_allowed(self, num_states: int = 1) -> bool:
+        """Whether a closure build fits the probe budget.
 
-    def rpq_closure_allowed(self, num_states: int) -> bool:
-        """Whether a *product* closure build fits the same budget.
-
-        A product closure probes every ordered boundary pair times
-        every ordered state pair, so the reach-closure build cost
-        scales by ``|Q|^2``; it competes for the same per-node probe
-        budget the reach closure does.
+        A build probes every ordered boundary pair times every ordered
+        state pair, so a ``|Q|``-state automaton costs ``|Q|^2`` the
+        plain-reach build and competes for the same budget.
         """
         boundary = self._boundary
         return (boundary.edge_count > 0
                 and (boundary.closure_pairs() * num_states * num_states
                      <= self.closure_budget))
 
-    def strategy(self, source_shard: int, target_shard: int,
-                 closure_built: bool = False) -> str:
-        """The strategy name alone — the hot-path probe.
+    def _costs(self, source_shard: int, target_shard: int,
+               num_states: int) -> Tuple[int, int, int]:
+        """Per-query ``(closure, chaining, bfs)`` estimates.
 
-        The reach dispatch calls this per query (twice per planned
-        batch request), so it allocates nothing and formats nothing;
-        :meth:`plan` wraps the same decision with the cost table and
-        a human-readable reason.
+        Each carries the factor the product with a ``|Q|``-state
+        automaton costs: closure lookups scale by ``|Q|``
+        (state-to-state probes per endpoint), chaining by ``|Q|^2``
+        (product waves), BFS by ``|Q|`` (product vertices).
         """
         boundary = self._boundary
+        return ((len(boundary.exits[source_shard])
+                 + len(boundary.entries[target_shard])) * num_states,
+                (boundary.total_exits * max(boundary.total_entries, 1)
+                 * num_states * num_states),
+                self._total_nodes * num_states)
+
+    def _unroutable(self, source_shard: int, target_shard: int
+                    ) -> Optional[str]:
+        """Why no boundary route exists for a shard pair, if none does
+        (the answer is then decidable for free: ``"local"``)."""
+        boundary = self._boundary
         if source_shard not in boundary.touched:
-            return "local"
+            return ("no boundary edge touches the source shard; it "
+                    "cannot be left")
         if (source_shard != target_shard
                 and not boundary.entries[target_shard]):
-            # Entering a shard requires a boundary edge landing in
-            # it; without entries the answer is decidable for free.
+            return ("no boundary edge enters the target shard; it "
+                    "cannot be reached from outside")
+        return None
+
+    def strategy(self, source_shard: int, target_shard: int,
+                 closure_built: bool = False,
+                 num_states: int = 1) -> str:
+        """The strategy name alone — the hot-path probe.
+
+        The cross-shard dispatch calls this per query (twice per
+        planned batch request), so it formats nothing; :meth:`plan`
+        wraps the same decision with the cost table and a
+        human-readable reason.  ``num_states`` is the automaton the
+        query walks the boundary with: 1 for ``reach``, the pattern
+        DFA's state count for ``rpq``.
+        """
+        if self._unroutable(source_shard, target_shard) is not None:
             return "local"
         if self.force is not None:
             return self.force
-        closure_cost = (len(boundary.exits[source_shard])
-                        + len(boundary.entries[target_shard]))
-        chaining_cost = (boundary.total_exits
-                         * max(boundary.total_entries, 1))
-        bfs_cost = self._total_nodes
-        if ((closure_built or self.closure_allowed)
-                and closure_cost <= chaining_cost
-                and closure_cost <= bfs_cost):
-            return "closure"
-        return "chaining" if chaining_cost <= bfs_cost else "bfs"
-
-    def rpq_strategy(self, source_shard: int, target_shard: int,
-                     num_states: int,
-                     closure_built: bool = False,
-                     force: Optional[str] = None) -> str:
-        """The cross-shard RPQ route: the reach decision, |Q|-scaled.
-
-        Same regimes as :meth:`strategy`, with every estimate carrying
-        the DFA factor the product construction costs: closure lookups
-        scale by ``|Q|`` (state-to-state probes per endpoint), chaining
-        by ``|Q|^2`` (product waves), BFS by ``|Q|`` (product vertices).
-        ``force`` overrides per call (the differential tests pin all
-        three routes on one handle without touching reach planning).
-        """
-        boundary = self._boundary
-        if source_shard not in boundary.touched:
-            return "local"
-        if (source_shard != target_shard
-                and not boundary.entries[target_shard]):
-            return "local"
-        pinned = force if force is not None else self.force
-        if pinned is not None:
-            return pinned
-        closure_cost = (len(boundary.exits[source_shard])
-                        + len(boundary.entries[target_shard])
-                        ) * num_states
-        chaining_cost = (boundary.total_exits
-                         * max(boundary.total_entries, 1)
-                         * num_states * num_states)
-        bfs_cost = self._total_nodes * num_states
-        if ((closure_built or self.rpq_closure_allowed(num_states))
+        closure_cost, chaining_cost, bfs_cost = self._costs(
+            source_shard, target_shard, num_states)
+        if ((closure_built or self.closure_allowed(num_states))
                 and closure_cost <= chaining_cost
                 and closure_cost <= bfs_cost):
             return "closure"
         return "chaining" if chaining_cost <= bfs_cost else "bfs"
 
     def plan(self, source_shard: int, target_shard: int,
-             closure_built: bool = False) -> ReachPlan:
+             closure_built: bool = False,
+             num_states: int = 1) -> ReachPlan:
         """One :meth:`strategy` decision plus costs and a reason.
 
         ``closure_built`` marks the build cost as sunk (the handle
         passes it so a warmed or loaded closure is always preferred
         over re-deriving the decision from the budget).
         """
-        boundary = self._boundary
+        unroutable = self._unroutable(source_shard, target_shard)
+        if unroutable is not None:
+            return ReachPlan("local", unroutable)
         strategy = self.strategy(source_shard, target_shard,
-                                 closure_built)
-        if strategy == "local":
-            if source_shard not in boundary.touched:
-                return ReachPlan(
-                    "local", "no boundary edge touches the source "
-                             "shard; it cannot be left")
-            return ReachPlan(
-                "local", "no boundary edge enters the target shard; "
-                         "it cannot be reached from outside")
+                                 closure_built, num_states)
+        closure_cost, chaining_cost, bfs_cost = self._costs(
+            source_shard, target_shard, num_states)
         costs: Dict[str, float] = {
-            "closure": (len(boundary.exits[source_shard])
-                        + len(boundary.entries[target_shard])),
-            "chaining": float(boundary.total_exits
-                              * max(boundary.total_entries, 1)),
-            "bfs": float(self._total_nodes),
-            "closure_build": float(boundary.closure_pairs()),
+            "closure": closure_cost,
+            "chaining": float(chaining_cost),
+            "bfs": float(bfs_cost),
+            "closure_build": float(self._boundary.closure_pairs()
+                                   * num_states * num_states),
         }
         if self.force is not None:
             return ReachPlan(self.force,

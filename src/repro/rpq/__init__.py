@@ -22,8 +22,10 @@ The RPQ subsystem in three layers:
 
 Served end to end as ``QueryKind.RPQ`` and
 ``QueryKind.PATTERN_COUNT`` — see :mod:`repro.serving.protocol` — and
-evaluated over shards with a per-(node, state) product boundary
-closure (:class:`repro.partition.boundary.ProductClosure`).
+evaluated over shards by the same cross-shard routes ``reach`` takes
+(reach being the one-state instance): a
+:class:`repro.partition.boundary.BoundaryClosure` over
+``(boundary node, state)`` vertices per pattern.
 """
 
 from repro.rpq.counts import PATTERN_COUNT_KINDS, PatternCounts

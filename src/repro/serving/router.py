@@ -78,7 +78,12 @@ from repro.serving.executors import (
     ThreadExecutor,
     _fork_context,
 )
-from repro.serving.protocol import QueryRequest, QueryResult, is_retryable
+from repro.serving.protocol import (
+    KIND_METHODS,
+    QueryRequest,
+    QueryResult,
+    is_retryable,
+)
 
 __all__ = [
     "GraphClient",
@@ -592,13 +597,40 @@ class GraphClient:
         self.close()
 
 
-class RemoteShard:
+class _ShardProxy:
+    """The §V method surface of a shard that lives behind a transport.
+
+    One forwarding method per :data:`KIND_METHODS` entry
+    (``out_neighbors(v)`` -> ``_single("out", v)``, ...), generated
+    below, plus the inert introspection the sharded handle reads off
+    its shards — a proxy owns no grammar state.  Subclasses supply the
+    transport: ``_single``, ``execute``, ``batch``, ``info``,
+    ``round_trips``, ``close``.
+    """
+
+    canonicalizations = 0
+    index_built = True
+
+    def _single(self, kind: str, *args: Any) -> Any:
+        raise NotImplementedError
+
+
+def _forwarder(kind: str) -> Any:
+    def method(self: _ShardProxy, *args: Any) -> Any:
+        return self._single(kind, *args)
+    return method
+
+
+for _kind, _name in KIND_METHODS.items():
+    setattr(_ShardProxy, _name, _forwarder(_kind.value))
+
+
+class RemoteShard(_ShardProxy):
     """A shard handle living in another process, spoken to by socket.
 
     Duck-types the slice of :class:`repro.api.CompressedGraph` the
-    sharded routing layer touches — ``batch``/``execute``, the
-    neighborhood family, ``reachable``, ``degree``,
-    ``connected_components``, the counts — by shipping each call to
+    sharded routing layer touches — ``batch``/``execute`` plus the
+    :class:`_ShardProxy` query methods — by shipping each call to
     its shard server.  The answers come from the same grammar code
     the local handle would run, which is why router-served answers
     are bit-identical to in-process ones.
@@ -635,51 +667,10 @@ class RemoteShard:
     def _single(self, kind: str, *args: Any) -> Any:
         return self._client.query(kind, *args)
 
-    # -- the method surface the sharded router calls -------------------
-    def out_neighbors(self, node_id: int) -> List[int]:
-        return self._single("out", node_id)
-
-    def in_neighbors(self, node_id: int) -> List[int]:
-        return self._single("in", node_id)
-
-    def neighbors(self, node_id: int) -> List[int]:
-        return self._single("neighborhood", node_id)
-
-    def reachable(self, source_id: int, target_id: int) -> bool:
-        return self._single("reach", source_id, target_id)
-
-    def degree(self, node_id: Optional[int] = None,
-               direction: str = "out") -> Any:
-        if node_id is None:
-            return self._single("degree")
-        return self._single("degree", node_id, direction)
-
-    def connected_components(self) -> int:
-        return self._single("components")
-
-    def path(self, source_id: int, target_id: int
-             ) -> Optional[List[int]]:
-        return self._single("path", source_id, target_id)
-
-    def node_count(self) -> int:
-        return self._single("nodes")
-
-    def edge_count(self) -> int:
-        return self._single("edges")
-
-    # -- inert introspection (the router owns no shard state) ----------
     @property
     def round_trips(self) -> int:
         """Wire exchanges with this shard (a cost meter for tests)."""
         return self._client.round_trips
-
-    @property
-    def canonicalizations(self) -> int:
-        return 0
-
-    @property
-    def index_built(self) -> bool:
-        return True
 
     def close(self) -> None:
         self._client.close()
@@ -699,7 +690,7 @@ class _Replica:
         self.retired_trips = 0
 
 
-class ReplicatedShard:
+class ReplicatedShard(_ShardProxy):
     """One logical shard behind N replica endpoints.
 
     Duck-types the same :class:`~repro.api.CompressedGraph` surface as
@@ -827,38 +818,6 @@ class ReplicatedShard:
         """Any live replica's self-description."""
         return self._attempt(lambda shard: shard.info())
 
-    # -- the method surface the sharded router calls -------------------
-    def out_neighbors(self, node_id: int) -> List[int]:
-        return self._single("out", node_id)
-
-    def in_neighbors(self, node_id: int) -> List[int]:
-        return self._single("in", node_id)
-
-    def neighbors(self, node_id: int) -> List[int]:
-        return self._single("neighborhood", node_id)
-
-    def reachable(self, source_id: int, target_id: int) -> bool:
-        return self._single("reach", source_id, target_id)
-
-    def degree(self, node_id: Optional[int] = None,
-               direction: str = "out") -> Any:
-        if node_id is None:
-            return self._single("degree")
-        return self._single("degree", node_id, direction)
-
-    def connected_components(self) -> int:
-        return self._single("components")
-
-    def path(self, source_id: int, target_id: int
-             ) -> Optional[List[int]]:
-        return self._single("path", source_id, target_id)
-
-    def node_count(self) -> int:
-        return self._single("nodes")
-
-    def edge_count(self) -> int:
-        return self._single("edges")
-
     # -- introspection -------------------------------------------------
     @property
     def endpoints(self) -> List[Union[str, tuple]]:
@@ -877,14 +836,6 @@ class ReplicatedShard:
     def round_trips(self) -> int:
         """Completed wire exchanges for this *logical* shard."""
         return sum(self.replica_round_trips)
-
-    @property
-    def canonicalizations(self) -> int:
-        return 0
-
-    @property
-    def index_built(self) -> bool:
-        return True
 
     def close(self) -> None:
         with self._lock:
@@ -1130,12 +1081,7 @@ class GraphServer:
         sharded = is_sharded_container(self._data)
         container = None
         if sharded:
-            from repro.partition import BoundaryClosure
-            from repro.sharding import (
-                ShardedCompressedGraph,
-                _decode_meta,
-                _decode_rpq_closures,
-            )
+            from repro.sharding import ShardedCompressedGraph
             # Lazy decode: the router itself materializes only the
             # meta and closure trailers; shard blobs are copied by the
             # forked children (each exactly its own — the parent's
@@ -1143,15 +1089,6 @@ class GraphServer:
             container = decode_sharded_container(self._data)
             self.container = container
             shard_count = container.num_shards
-            (shard_nodes, boundary_edges, blocks, extrema,
-             degree_error, simple, partitioner) = _decode_meta(
-                container.meta, shard_count)
-            # A persisted closure means a cold-started router answers
-            # cross-shard reach without ever re-probing the shards.
-            closure = (BoundaryClosure.from_bytes(container.closure)
-                       if container.has_closure else None)
-            rpq_closures = (_decode_rpq_closures(container.rpq_closures)
-                            if container.has_rpq_closures else None)
         else:
             shard_count = 1
         try:
@@ -1178,23 +1115,21 @@ class GraphServer:
                 for proxy in self._proxies:
                     for label, name in proxy.info().get("labels", []):
                         label_names.setdefault(label, name)
-                service: Any = ShardedCompressedGraph(
-                    list(self._proxies), None, boundary_edges, blocks,
-                    extrema, degree_error, shard_nodes, simple=simple,
-                    partitioner=partitioner, cache_size=cache_size,
-                    closure=closure,
-                    closure_persisted=closure is not None,
-                    label_names=sorted(label_names.items()),
-                    rpq_closures=rpq_closures,
-                    rpq_closures_persisted=rpq_closures is not None)
+                # A persisted closure means a cold-started router
+                # answers cross-shard queries without ever re-probing
+                # the shards.
+                service: Any = ShardedCompressedGraph.from_container(
+                    container, list(self._proxies),
+                    cache_size=cache_size,
+                    label_names=sorted(label_names.items()))
                 executor: Executor = ThreadExecutor()
                 info = {
                     "type": "sharded",
                     "shards": shard_count,
-                    "nodes": sum(shard_nodes),
-                    "boundary_edges": len(boundary_edges),
-                    "partitioner": partitioner,
-                    "closure": closure is not None,
+                    "nodes": service.node_count(),
+                    "boundary_edges": service.boundary_edge_count,
+                    "partitioner": service.partitioner,
+                    "closure": service.closure_built,
                     "replicas": [len(group)
                                  for group in endpoint_groups],
                 }

@@ -37,21 +37,24 @@ the actual partition topology:
   the owning shard and merge that node's boundary edges;
   ``components`` combines per-shard counts with a union-find over the
   boundary summary built at partition time; ``path`` runs BFS over
-  the merged neighborhoods.  Cross-shard ``reach`` is planned per
-  query by a :class:`repro.partition.ReachPlanner`: a lazily built
-  (and container-persisted) :class:`repro.partition.BoundaryClosure`
-  answers it with one in-shard Theorem-6 batch per endpoint shard
-  plus O(1) closure hops; when the closure is over budget the planner
-  falls back to batched boundary chaining (sparse) or merged-BFS
-  (dense).  A differential suite asserts every answer equals the
-  unsharded handle's under every strategy.
+  the merged neighborhoods.  Cross-shard ``reach`` and ``rpq`` are
+  **one mechanism** — reach is the regular path query of the
+  universal one-state :class:`repro.partition.BoundaryAutomaton` —
+  planned per query by a :class:`repro.partition.ReachPlanner`: a
+  lazily built (and container-persisted)
+  :class:`repro.partition.BoundaryClosure` per automaton answers
+  with one in-shard batch per endpoint shard plus O(1) closure hops;
+  when the closure is over budget the planner falls back to batched
+  boundary chaining (sparse) or merged-BFS (dense).  A differential
+  suite asserts every answer equals the unsharded handle's under
+  every strategy.
 * **persist** — :meth:`save` / :meth:`open` use the multi-shard
-  container framing of :mod:`repro.encoding.container` ("GRPS"): one
-  routing-summary meta section plus one complete "GRPR" container per
-  shard, with the existing per-section size accounting kept per
-  shard, plus an optional closure trailer section so a warmed
-  boundary closure survives the round trip and cold-started servers
-  skip the rebuild.
+  container format of :mod:`repro.encoding.container` ("GRPS", which
+  owns every byte layout): one routing-summary meta section plus one
+  complete "GRPR" container per shard, with the existing per-section
+  size accounting kept per shard, plus optional closure trailer
+  sections so warmed boundary closures survive the round trip and
+  cold-started servers skip the rebuild.
 * **cache + batch** — the same per-handle query-result LRU as the
   unsharded facade, and ``batch(..., parallel=True)`` plans a batch
   (via :func:`repro.serving.plan_batch`): deduplicates it,
@@ -74,6 +77,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from collections import deque
+from itertools import repeat
 from pathlib import Path
 from typing import (
     Any,
@@ -83,7 +87,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -94,18 +97,25 @@ from repro.core.grammar import SLHRGrammar
 from repro.core.hypergraph import Hypergraph
 from repro.core.pipeline import GRePairSettings
 from repro.encoding.container import (
+    DecodedContainer,
     ShardedFile,
+    ShardedMeta,
+    container_arity,
+    decode_closure_table,
     decode_sharded_container,
+    decode_sharded_meta,
+    encode_closure_table,
     encode_sharded_container,
+    encode_sharded_meta,
     is_sharded_container,
     map_file,
 )
 from repro.exceptions import EncodingError, GrammarError, QueryError
 from repro.partition import (
     PARTITIONERS,
+    BoundaryAutomaton,
     BoundaryClosure,
     BoundaryGraph,
-    ProductClosure,
     ReachPlanner,
     bfs_partition,
     build_plan,
@@ -136,7 +146,6 @@ from repro.serving.protocol import (
     QueryResult,
 )
 from repro.util.unionfind import UnionFind
-from repro.util.varint import read_uvarint, write_uvarint
 
 __all__ = [
     "PARTITIONERS",
@@ -148,7 +157,8 @@ __all__ = [
     "open_compressed",
 ]
 
-_META_VERSION = 1
+#: Plain reachability: the one-state instance of the boundary machinery.
+_REACH = BoundaryAutomaton.universal()
 
 
 def _terminal_order(alphabet: Alphabet) -> Dict[int, int]:
@@ -207,89 +217,72 @@ class ShardedCompressedGraph(GraphService):
     _BATCH_KINDS = CompressedGraph._BATCH_KINDS
 
     def __init__(self, shards: List[CompressedGraph],
-                 alphabet: Alphabet,
-                 boundary_edges: List[Tuple[int, Tuple[int, ...]]],
-                 blocks: List[List[Tuple[int, ...]]],
-                 extrema: Optional[Dict[str, int]],
-                 degree_error: Optional[str],
-                 shard_nodes: List[int],
-                 simple: bool = True,
-                 partitioner: str = "hash",
+                 alphabet: Optional[Alphabet],
+                 meta: ShardedMeta,
                  cache_size: int = DEFAULT_CACHE_SIZE,
                  container: Optional[ShardedFile] = None,
                  container_key: Optional[Tuple[Any, ...]] = None,
-                 closure: Optional[BoundaryClosure] = None,
-                 closure_persisted: bool = False,
+                 closures: Sequence[Tuple[Optional[PatternDFA],
+                                          BoundaryClosure]] = (),
                  label_names: Optional[Sequence[
-                     Tuple[int, Optional[str]]]] = None,
-                 rpq_closures: Optional[List[
-                     Tuple[PatternDFA, ProductClosure]]] = None,
-                 rpq_closures_persisted: bool = False) -> None:
-        """Internal: boundary structures must already be in global IDs.
+                     Tuple[int, Optional[str]]]] = None) -> None:
+        """Internal: ``meta`` must already be in global IDs, with
+        boundary-edge labels in the ID space of ``alphabet``.
 
-        Use the classmethod constructors.  ``label_names`` substitutes
-        for the alphabet when the handle fronts socket-proxy shards
-        (the router has no grammar of its own): a ``(label, name)``
-        table covering the terminals boundary edges may carry.
+        Use the classmethod constructors.  ``closures`` seeds the
+        closure table with ``(pattern DFA, closure)`` pairs (``None``
+        for the DFA marks the reach closure).  ``label_names``
+        substitutes for the alphabet when the handle fronts
+        socket-proxy shards (the router has no grammar of its own): a
+        ``(label, name)`` table for the terminals boundary edges carry.
         """
         self._shards = shards
         self._alphabet = alphabet
         self._label_table: Optional[Dict[int, Optional[str]]] = (
             dict(label_names) if label_names is not None else None)
-        self._extrema = extrema
-        self._degree_error = degree_error
-        self._partitioner = partitioner
+        self._extrema = meta.extrema
+        self._degree_error = meta.degree_error
+        self._partitioner = meta.partitioner
         self._cache = QueryCache(cache_size)
         self._lock = threading.RLock()
         self._container = container
         self._container_key = container_key
         self._bases: List[int] = []
         base = 0
-        for count in shard_nodes:
+        for count in meta.shard_nodes:
             self._bases.append(base)
             base += count
         self._total_nodes = base
-        self._shard_nodes = list(shard_nodes)
+        self._shard_nodes = list(meta.shard_nodes)
         self._component_count: Optional[int] = None
         #: True iff every edge of the full graph has rank 2; mirrors
         #: the unsharded handle, whose reach raises on any hyperedge.
-        self._simple = simple
+        self._simple = meta.simple
         #: The boundary topology (summaries, exits/entries, blocks).
-        self._boundary = BoundaryGraph(boundary_edges, blocks,
+        self._boundary = BoundaryGraph(meta.boundary_edges, meta.blocks,
                                        self._bases)
-        #: The cross-shard reach cost model (shared with the router).
+        #: The cross-shard cost model (shared with the router).
         self._planner = ReachPlanner(self._boundary, self._total_nodes)
-        if (closure is not None
-                and closure.nodes != sorted(self._boundary.incident)):
-            # A structurally valid closure over the wrong node set
-            # (a spliced or corrupted container) must fail here, like
-            # the meta/shard-count mismatch does — not as a KeyError
-            # from the first reach that takes the closure route.
-            raise EncodingError(
-                "closure section covers a different boundary node "
-                "set than the container meta"
-            )
-        self._closure_obj = closure
-        self._closure_persisted = closure_persisted
+        #: automaton key -> (pattern DFA or None, closure): ``None``
+        #: keys the reach closure, a canonical DFA key a pattern's.
+        self._closures: Dict[Any, Tuple[Optional[PatternDFA],
+                                        BoundaryClosure]] = {}
+        #: automaton key -> the lock its build holds, so every closure
+        #: is built at most once without a handle-wide lock.
+        self._closure_builds: Dict[Any, threading.Lock] = {}
         boundary_nodes = sorted(self._boundary.incident)
-        self._rpq_closures: Dict[Tuple, Tuple[PatternDFA,
-                                              ProductClosure]] = {}
-        for dfa, product in (rpq_closures or []):
-            if product.nodes != boundary_nodes:
+        for dfa, closure in closures:
+            if closure.nodes != boundary_nodes:
+                # A structurally valid closure over the wrong node set
+                # (a spliced or corrupted container) must fail here,
+                # like the meta/shard-count mismatch does — not as a
+                # KeyError from the first query on the closure route.
                 raise EncodingError(
-                    "rpq closure section covers a different boundary "
-                    "node set than the container meta"
+                    "closure section covers a different boundary node "
+                    "set than the container meta"
                 )
-            if product.num_states != dfa.num_states:
-                raise EncodingError(
-                    "rpq closure state count disagrees with its "
-                    "pattern DFA"
-                )
-            self._rpq_closures[dfa.key] = (dfa, product)
-        self._rpq_closures_persisted = rpq_closures_persisted
-        #: Lazily built labeled boundary out-adjacency (global IDs).
-        self._boundary_out_edges: Optional[
-            Dict[int, List[Tuple[int, int]]]] = None
+            self._closures[None if dfa is None else dfa.key] = (
+                dfa, closure)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -412,10 +405,10 @@ class ShardedCompressedGraph(GraphService):
              for block in shard_blocks]
             for shard_blocks in plan.blocks
         ]
-        reference = alphabet.copy()
-        return cls(handles, reference, boundary_edges, blocks,
-                   plan.extrema, plan.degree_error, shard_nodes,
-                   simple=plan.simple, partitioner=partitioner_name,
+        return cls(handles, alphabet.copy(),
+                   ShardedMeta(shard_nodes, boundary_edges, blocks,
+                               plan.extrema, plan.degree_error,
+                               plan.simple, partitioner_name),
                    cache_size=cache_size)
 
     @classmethod
@@ -439,16 +432,8 @@ class ShardedCompressedGraph(GraphService):
         else:
             data = buf
         parsed = decode_sharded_container(data)
-        blobs = parsed.shards
         shards = [CompressedGraph.from_bytes(blob, cache_size=cache_size)
-                  for blob in blobs]
-        (shard_nodes, boundary_edges, blocks, extrema, degree_error,
-         simple, partitioner) = _decode_meta(parsed.meta, len(blobs))
-        if len(shard_nodes) != len(shards):
-            raise EncodingError(
-                f"meta lists {len(shard_nodes)} shards, container "
-                f"holds {len(shards)}"
-            )
+                  for blob in parsed.shards]
         # Every shard was compressed from a copy of one input alphabet,
         # so their terminal lists agree up to pass-minted extras (the
         # virtual-edge label) appended at the end.  Boundary labels
@@ -470,27 +455,61 @@ class ShardedCompressedGraph(GraphService):
                     "shard 0; the container was not produced by one "
                     "build"
                 )
-        reference = shards[0].grammar.alphabet
-        closure = (BoundaryClosure.from_bytes(parsed.closure)
-                   if parsed.has_closure else None)
-        rpq_closures = (_decode_rpq_closures(parsed.rpq_closures)
-                        if parsed.has_rpq_closures else None)
-        container = ShardedFile(
-            data=data, section_bytes=parsed.section_bytes())
+        return cls.from_container(parsed, shards, cache_size=cache_size)
+
+    @classmethod
+    def from_container(cls, parsed: DecodedContainer,
+                       shards: List[Any],
+                       cache_size: int = DEFAULT_CACHE_SIZE,
+                       label_names: Optional[Sequence[
+                           Tuple[int, Optional[str]]]] = None
+                       ) -> "ShardedCompressedGraph":
+        """Build the handle over an already parsed container.
+
+        ``shards`` answer for the container's shard blobs, in order:
+        local :class:`CompressedGraph` handles (the full-open path —
+        boundary labels then resolve through shard 0's alphabet), or
+        socket proxies plus the ``label_names`` table their servers
+        reported (the router, which owns no grammar).  Only the meta
+        and closure trailers are materialized here.
+        """
+        meta = decode_sharded_meta(parsed.meta, parsed.num_shards)
+        if len(meta.shard_nodes) != len(shards):
+            raise EncodingError(
+                f"meta lists {len(meta.shard_nodes)} shards, container "
+                f"holds {len(shards)}"
+            )
+        closures: List[Tuple[Optional[PatternDFA], BoundaryClosure]] = []
+        if parsed.has_closure:
+            closures.append(
+                (None, BoundaryClosure.from_bytes(parsed.closure)))
+        if parsed.has_rpq_closures:
+            for dfa_bytes, num_states, body in decode_closure_table(
+                    parsed.rpq_closures):
+                dfa = PatternDFA.from_bytes(dfa_bytes)
+                if num_states != dfa.num_states:
+                    raise EncodingError(
+                        "rpq closure state count disagrees with its "
+                        "pattern DFA"
+                    )
+                closures.append(
+                    (dfa, BoundaryClosure.from_bytes(body, num_states)))
         # Like CompressedGraph.from_bytes: remember the k the file was
         # encoded with so save()/to_bytes() reuse the loaded bytes only
         # when the requested parameters match.
-        k, _ = read_uvarint(blobs[0], 5)
-        return cls(shards, reference, boundary_edges, blocks, extrema,
-                   degree_error, shard_nodes, simple=simple,
-                   partitioner=partitioner, cache_size=cache_size,
-                   container=container,
-                   container_key=(True, k, closure is not None,
-                                  len(rpq_closures or [])),
-                   closure=closure,
-                   closure_persisted=closure is not None,
-                   rpq_closures=rpq_closures,
-                   rpq_closures_persisted=rpq_closures is not None)
+        return cls(shards,
+                   None if label_names is not None
+                   else shards[0].grammar.alphabet,
+                   meta, cache_size=cache_size,
+                   container=ShardedFile(
+                       data=parsed.data,
+                       section_bytes=parsed.section_bytes()),
+                   container_key=(True,
+                                  container_arity(parsed.shard_view(0)),
+                                  parsed.has_closure,
+                                  sum(dfa is not None
+                                      for dfa, _ in closures)),
+                   closures=closures, label_names=label_names)
 
     @classmethod
     def open(cls, path: Union[str, Path],
@@ -511,56 +530,48 @@ class ShardedCompressedGraph(GraphService):
         closure exactly when it is already built — so a warmed handle
         round-trips its closure for free and a cold handle pays
         nothing; ``True`` forces the build first, ``False`` drops it.
-        Warmed RPQ product closures follow the same default: whatever
-        :meth:`warm_rpq_closure` has built rides along in the ``'R'``
-        trailer section (dropped with ``include_closure=False``).
+        Closures :meth:`warm_closure` built for patterns follow the
+        same default: they ride along in the ``'R'`` trailer section
+        (dropped with ``include_closure=False``).
         Cached per parameter set: loaded handles keep reporting the
         file they came from, and repeated ``sizes``/``total_bytes``
         accesses do not re-encode every shard.
         """
-        include_rpq = include_closure is not False
-        if include_closure is None:
-            include_closure = self.closure_built
         with self._lock:
-            rpq_entries = (sorted(self._rpq_closures.values(),
-                                  key=lambda entry: entry[0].to_bytes())
-                           if include_rpq else [])
-        key = (include_names, k, bool(include_closure),
-               len(rpq_entries))
-        with self._lock:
+            patterns = (sorted(
+                ((dfa.to_bytes(), closure)
+                 for dfa, closure in self._closures.values()
+                 if dfa is not None), key=lambda entry: entry[0])
+                if include_closure is not False else [])
+            if include_closure is None:
+                include_closure = self.closure_built
+            key = (include_names, k, bool(include_closure),
+                   len(patterns))
             if self._container is not None and self._container_key == key:
                 return self._container
         order = _terminal_order(self._alphabet)
-        boundary_edges = [
-            (order[label], att)
-            for label, att in self._boundary.edges
-        ]
-        meta = _encode_meta(self._shard_nodes, boundary_edges,
-                            self._boundary.blocks, self._extrema,
-                            self._degree_error, self._simple,
-                            self._partitioner)
+        meta = encode_sharded_meta(ShardedMeta(
+            self._shard_nodes,
+            [(order[label], att) for label, att in self._boundary.edges],
+            self._boundary.blocks, self._extrema, self._degree_error,
+            self._simple, self._partitioner))
         blobs = [shard.to_bytes(include_names=include_names, k=k)
                  for shard in self._shards]
-        closure_bytes = (self.warm_closure().to_bytes()
-                         if include_closure else None)
-        rpq_bytes = (_encode_rpq_closures(rpq_entries)
-                     if rpq_entries else None)
-        container = encode_sharded_container(meta, blobs, closure_bytes,
-                                             rpq_bytes)
+        container = encode_sharded_container(
+            meta, blobs,
+            self.warm_closure().to_bytes() if include_closure else None,
+            encode_closure_table(
+                [(dfa_bytes, closure.num_states, closure.to_bytes())
+                 for dfa_bytes, closure in patterns])
+            if patterns else None)
         with self._lock:
             self._container = container
             self._container_key = key
-            self._closure_persisted = bool(include_closure)
-            self._rpq_closures_persisted = bool(rpq_entries)
         return container
 
     def _current_container(self) -> ShardedFile:
         """The existing container if any, else a default encoding."""
-        with self._lock:
-            container = self._container
-        if container is not None:
-            return container
-        return self.to_container()
+        return self._container or self.to_container()
 
     def to_bytes(self, include_names: bool = True, k: int = 2,
                  include_closure: Optional[bool] = None) -> bytes:
@@ -626,43 +637,72 @@ class ShardedCompressedGraph(GraphService):
         return self._boundary.edge_count
 
     @property
+    def partitioner(self) -> str:
+        """Name of the partitioner that produced this sharding."""
+        return self._partitioner
+
+    @property
     def planner(self) -> ReachPlanner:
-        """The cross-shard reach planner (cost model + overrides)."""
+        """The cross-shard route planner (cost model + overrides)."""
         return self._planner
 
     @property
     def closure_built(self) -> bool:
-        """Whether the boundary closure exists (no side effects)."""
-        return self._closure_obj is not None
+        """Whether the reach closure exists (no side effects)."""
+        return None in self._closures
 
     @property
     def closure_persisted(self) -> bool:
         """Whether the current container carries a closure section."""
-        return self._closure_persisted
+        container = self._container
+        return (container is not None
+                and "closure" in container.section_bytes)
 
-    def warm_closure(self) -> BoundaryClosure:
-        """Force the boundary closure now (build at most once).
+    def warm_closure(self, pattern: Optional[str] = None
+                     ) -> BoundaryClosure:
+        """Force a boundary closure now (built at most once per key).
 
-        One in-shard ``batch()`` per shard covers every boundary-node
-        pair; the resulting closure makes every cross-shard ``reach``
-        one batch per endpoint shard.  Safe to call concurrently.
-        Raises :class:`QueryError` for non-simple graphs — their
-        ``reach`` raises anyway, so a closure could never be used.
+        Without a pattern: the reach closure.  With one: the product
+        closure of its canonical DFA (equivalent patterns share it).
+        One in-shard ``batch()`` per shard covers every ordered pair
+        of boundary vertices, after which every cross-shard query of
+        that automaton costs one batch per endpoint shard.  Safe to
+        call concurrently: callers asking for a key whose build is in
+        flight wait for it rather than probing the shards again, and
+        builds of different keys do not serialize.  Persisted by
+        :meth:`to_container`.  Raises :class:`QueryError` for
+        non-simple graphs — their ``reach``/``rpq`` raise anyway, so a
+        closure could never be used.
         """
-        closure = self._closure_obj
-        if closure is None and not self._simple:
-            raise QueryError(
-                "the boundary closure requires a simple derived "
-                "graph; found a terminal hyperedge"
-            )
-        if closure is None:
+        return self._closure_for(
+            _REACH if pattern is None else BoundaryAutomaton.for_pattern(
+                pattern, compile_pattern(pattern)))
+
+    def _closure_for(self, automaton: BoundaryAutomaton
+                     ) -> BoundaryClosure:
+        key = automaton.key
+        entry = self._closures.get(key)
+        if entry is None:
+            if not self._simple:
+                raise QueryError(
+                    "the boundary closure requires a simple derived "
+                    "graph; found a terminal hyperedge"
+                )
             with self._lock:
-                closure = self._closure_obj
-                if closure is None:
-                    closure = BoundaryClosure.build(
-                        self._boundary, self._shards, self._bases)
-                    self._closure_obj = closure
-        return closure
+                building = self._closure_builds.setdefault(
+                    key, threading.Lock())
+            # One builder per key; its waiters block here, not on the
+            # handle-wide lock, and find the entry when they get in
+            # (or build it themselves if the first build failed).
+            with building:
+                entry = self._closures.get(key)
+                if entry is None:
+                    entry = (automaton.dfa, BoundaryClosure.build(
+                        self._boundary, self._shards, self._bases,
+                        automaton, self._label_name))
+                    with self._lock:
+                        self._closures[key] = entry
+        return entry[1]
 
     @property
     def partition_stats(self) -> Dict[str, float]:
@@ -731,8 +771,7 @@ class ShardedCompressedGraph(GraphService):
             "boundary_nodes": len(self._boundary.incident),
             "closure_built": self.closure_built,
             "closure_persisted": self.closure_persisted,
-            "rpq_closures": len(self._rpq_closures),
-            "rpq_closures_persisted": self._rpq_closures_persisted,
+            "rpq_closures": len(self._closures) - self.closure_built,
             "shard_nodes": list(self._shard_nodes),
             "shard_grammar_sizes": [shard.grammar.size
                                     for shard in self._shards],
@@ -857,20 +896,11 @@ class ShardedCompressedGraph(GraphService):
     def reachable(self, source_id: int, target_id: int) -> bool:
         """(s,t)-reachability across shards, planned per query.
 
-        Same-shard pairs in an untouched shard run the owning shard's
-        Theorem-6 query verbatim (``O(|G_i|)``).  Cross-shard pairs go
-        through the :class:`repro.partition.ReachPlanner`:
-
-        * **closure** — one in-shard batch per endpoint shard plus
-          O(1) hops in the boundary transitive closure (built lazily,
-          persisted in the container);
-        * **chaining** — batched boundary chaining when the closure is
-          over budget and the boundary is sparse: one ``batch()`` per
-          (shard, wave) alternates per-shard reachability with
-          boundary hops;
-        * **BFS** — a dense boundary rivals the graph itself, so fall
-          back to BFS over the merged (LRU-backed) neighborhoods, the
-          paper's any-algorithm-on-Prop.-4 route.
+        Same-shard pairs are first asked of the owning shard's
+        Theorem-6 query verbatim (``O(|G_i|)``).  Whatever that does
+        not settle takes the cross-shard route of :meth:`_route` with
+        the universal one-state automaton — the very code path
+        :meth:`rpq` takes with a pattern DFA.
         """
         return self._cache.get_or_compute(
             ("reach", source_id, target_id),
@@ -884,135 +914,13 @@ class ShardedCompressedGraph(GraphService):
             )
         source_shard = self._owner(source_id)
         target_shard = self._owner(target_id)
-        same_shard = source_shard == target_shard
-        if (same_shard
+        if (source_shard == target_shard
                 and self._shards[source_shard].reachable(
                     self._local(source_id, source_shard),
                     self._local(target_id, source_shard))):
             return True
-        strategy = self._planner.strategy(
-            source_shard, target_shard,
-            closure_built=self.closure_built)
-        if strategy == "local":
-            return False  # no boundary route exists for this pair
-        if strategy == "closure":
-            return self._reach_by_closure(source_id, target_id,
-                                          source_shard, target_shard)
-        if strategy == "chaining":
-            # The same-shard target check above already ran for the
-            # source itself; don't pay that O(|G_i|) query twice.
-            checked = {source_id} if same_shard else set()
-            return self._reach_by_chaining(source_id, target_shard,
-                                           self._local(target_id,
-                                                       target_shard),
-                                           checked)
-        return self._reach_by_bfs(source_id, target_id)
-
-    def _reach_by_closure(self, source_id: int, target_id: int,
-                          source_shard: int, target_shard: int) -> bool:
-        """Closure route: one in-shard batch per endpoint shard.
-
-        Any cross-shard path decomposes as an intra-shard prefix to
-        the first exit, a boundary-graph walk, and an intra-shard
-        suffix from the last entry — so the reachable-boundary mask of
-        the source plus one probe batch per endpoint shard decides the
-        query.  Boundary endpoints themselves skip their batch: their
-        closure row is the answer.
-        """
-        closure = self.warm_closure()
-        boundary = self._boundary
-        if source_id in boundary.incident:
-            mask = (closure.row_mask(source_id)
-                    | closure.bit(source_id))
-        else:
-            exits = boundary.exits[source_shard]
-            if not exits:
-                return False
-            base = self._bases[source_shard]
-            answers = self._shards[source_shard].batch(
-                [("reach", source_id - base, exit_node - base)
-                 for exit_node in exits])
-            mask = 0
-            for exit_node, reachable in zip(exits, answers):
-                if reachable:
-                    mask |= (closure.row_mask(exit_node)
-                             | closure.bit(exit_node))
-        if not mask:
-            return False
-        if target_id in boundary.incident:
-            return bool(mask & closure.bit(target_id))
-        candidate_mask = mask & closure.mask_of(
-            boundary.entries[target_shard])
-        if not candidate_mask:
-            return False
-        base = self._bases[target_shard]
-        answers = self._shards[target_shard].batch(
-            [("reach", entry - base, target_id - base)
-             for entry in closure.nodes_in(candidate_mask)])
-        return any(answers)
-
-    def _reach_by_chaining(self, source_id: int, target_shard: int,
-                           target_local: int,
-                           already_checked: Set[int]) -> bool:
-        """Batched boundary chaining: per-shard reach + boundary hops.
-
-        Each BFS wave groups its frontier by owning shard and ships
-        that shard's probes — exit reachability plus (in the target
-        shard) the target probe — as **one** ``batch()`` call, the
-        wire format socket-proxy shards forward in a single frame.
-        """
-        boundary = self._boundary
-        seen: Set[int] = {source_id}
-        frontier = [source_id]
-        while frontier:
-            by_shard: Dict[int, List[int]] = {}
-            for node in frontier:
-                by_shard.setdefault(self._owner(node), []).append(node)
-            next_frontier: List[int] = []
-            for shard in sorted(by_shard):
-                base = self._bases[shard]
-                exits = boundary.exits[shard]
-                probes: List[Tuple[str, int, int]] = []
-                outcomes: List[Tuple[int, Optional[int]]] = []
-                for node in by_shard[shard]:
-                    local = node - base
-                    if (shard == target_shard
-                            and node not in already_checked):
-                        probes.append(("reach", local, target_local))
-                        outcomes.append((node, None))
-                    for exit_node in exits:
-                        probes.append(("reach", local,
-                                       exit_node - base))
-                        outcomes.append((node, exit_node))
-                if not probes:
-                    continue
-                answers = self._shards[shard].batch(probes)
-                for (node, exit_node), reachable in zip(outcomes,
-                                                        answers):
-                    if not reachable:
-                        continue
-                    if exit_node is None:
-                        return True
-                    for entered in boundary.out[exit_node]:
-                        if entered not in seen:
-                            seen.add(entered)
-                            next_frontier.append(entered)
-            frontier = next_frontier
-        return False
-
-    def _reach_by_bfs(self, source_id: int, target_id: int) -> bool:
-        """Plain BFS over the merged neighborhoods (dense boundary)."""
-        seen: Set[int] = {source_id}
-        frontier = deque([source_id])
-        while frontier:
-            node = frontier.popleft()
-            if node == target_id:
-                return True
-            for succ in self.out_neighbors(node):
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
-        return False
+        return self._route(_REACH, source_id, target_id,
+                           source_shard, target_shard)
 
     def reach(self, source_id: int, target_id: int) -> bool:
         """Alias of :meth:`reachable`."""
@@ -1113,21 +1021,6 @@ class ShardedCompressedGraph(GraphService):
             return self._label_table.get(label)
         return None
 
-    def _boundary_out(self) -> Dict[int, List[Tuple[int, int]]]:
-        """Labeled boundary out-adjacency (lazy, built once)."""
-        table = self._boundary_out_edges
-        if table is None:
-            with self._lock:
-                table = self._boundary_out_edges
-                if table is None:
-                    table = {}
-                    for label, att in self._boundary.edges:
-                        if len(att) == 2:
-                            table.setdefault(att[0], []).append(
-                                (label, att[1]))
-                    self._boundary_out_edges = table
-        return table
-
     def out_edges(self, node_id: int) -> List[List[int]]:
         """Labeled outgoing edges as sorted ``[label, target]`` pairs.
 
@@ -1145,7 +1038,7 @@ class ShardedCompressedGraph(GraphService):
         inner = self._shards[shard].batch(
             [("out_edges", node_id - base)])[0]
         merged = {(label, target + base) for label, target in inner}
-        merged.update(self._boundary_out().get(node_id, ()))
+        merged.update(self._boundary.out_edges.get(node_id, ()))
         return [list(pair) for pair in sorted(merged)]
 
     def pattern_count(self, sub_kind: str, *args: Any) -> int:
@@ -1275,11 +1168,9 @@ class ShardedCompressedGraph(GraphService):
 
         Same contract as :meth:`CompressedGraph.rpq`, evaluated across
         shards: the owning shard answers same-shard pairs directly;
-        cross-shard pairs are planned per query by
-        :meth:`repro.partition.ReachPlanner.rpq_strategy` over the
-        per-pattern :class:`repro.partition.ProductClosure`, batched
-        product chaining, or a product BFS over the merged labeled
-        adjacency.
+        whatever that does not settle takes the cross-shard route of
+        :meth:`_route` with the pattern's DFA — the code path
+        :meth:`reachable` takes with the one-state automaton.
         """
         states: Tuple[Any, ...] = ()
         if to_state is not None:
@@ -1301,78 +1192,20 @@ class ShardedCompressedGraph(GraphService):
             )
         dfa = compile_pattern(pattern)
         start, accept = _resolve_states(dfa, from_state, to_state)
+        automaton = BoundaryAutomaton.for_pattern(pattern, dfa, start,
+                                                  to_state)
         source_shard = self._owner(source)
         target_shard = self._owner(target)
         if source == target and start in accept:
             return True
-        # Probes ship the pattern text; every evaluator compiles it to
-        # the same canonical DFA, so state numbers agree end to end.
-        # ``(..., q)`` probes run q -> accepting, ``(..., q, q2)``
-        # probes run q -> {q2}.
-        accept_tail: Tuple[int, ...] = (
-            () if to_state is None else (to_state,))
         if source_shard == target_shard:
             base = self._bases[source_shard]
-            direct = self._shards[source_shard].batch(
-                [("rpq", pattern, source - base, target - base,
-                  start, *accept_tail)])[0]
-            if direct:
+            if self._shards[source_shard].batch(
+                    [automaton.probe(source - base, target - base,
+                                     start)])[0]:
                 return True
-        strategy = self._planner.rpq_strategy(
-            source_shard, target_shard, dfa.num_states,
-            closure_built=dfa.key in self._rpq_closures)
-        if strategy == "local":
-            return False  # no boundary route exists for this pair
-        if strategy == "closure":
-            return self._rpq_by_closure(pattern, dfa, source, target,
-                                        start, accept, accept_tail,
-                                        source_shard, target_shard)
-        if strategy == "chaining":
-            already = ({(source, start)}
-                       if source_shard == target_shard else set())
-            return self._rpq_by_chaining(pattern, dfa, source, target,
-                                         start, accept, accept_tail,
-                                         target_shard, already)
-        return self._rpq_by_bfs(dfa, source, target, start, accept)
-
-    def warm_rpq_closure(self, pattern: str) -> ProductClosure:
-        """Force the product closure for one pattern (build at most
-        once per canonical DFA; equivalent patterns share it).
-
-        One ``batch()`` of state-to-state probes per shard covers
-        every ordered (boundary node, state) pair, after which every
-        cross-shard query of the pattern costs one in-shard batch per
-        endpoint shard.  Persisted by :meth:`to_container` alongside
-        the reach closure.
-        """
-        if not self._simple:
-            raise QueryError(
-                "the rpq boundary closure requires a simple derived "
-                "graph; found a terminal hyperedge"
-            )
-        dfa = compile_pattern(pattern)
-        with self._lock:
-            entry = self._rpq_closures.get(dfa.key)
-        if entry is None:
-            product = ProductClosure.build(
-                self._boundary, self._shards, self._bases, pattern,
-                dfa.num_states,
-                lambda state, label: dfa.step_name(
-                    state, self._label_name(label)))
-            with self._lock:
-                entry = self._rpq_closures.setdefault(
-                    dfa.key, (dfa, product))
-        return entry[1]
-
-    @property
-    def rpq_closures_built(self) -> int:
-        """Warmed product closures (one per canonical pattern DFA)."""
-        return len(self._rpq_closures)
-
-    @property
-    def rpq_closures_persisted(self) -> bool:
-        """Whether the current container carries an 'R' section."""
-        return self._rpq_closures_persisted
+        return self._route(automaton, source, target,
+                           source_shard, target_shard)
 
     @property
     def rpq_info(self) -> Dict[str, int]:
@@ -1384,38 +1217,79 @@ class ShardedCompressedGraph(GraphService):
             if isinstance(shard_info, dict):
                 for key in info:
                     info[key] += shard_info.get(key, 0)
-        info["rpq_closures"] = len(self._rpq_closures)
+        info["rpq_closures"] = len(self._closures) - self.closure_built
         return info
 
-    def _rpq_by_closure(self, pattern: str, dfa: PatternDFA,
-                        source: int, target: int, start: int,
-                        accept, accept_tail: Tuple[int, ...],
-                        source_shard: int, target_shard: int) -> bool:
+    # ------------------------------------------------------------------
+    # Cross-shard routing: one strategy triple for reach and rpq
+    # ------------------------------------------------------------------
+    def _route(self, automaton: BoundaryAutomaton, source: int,
+               target: int, source_shard: int, target_shard: int
+               ) -> bool:
+        """Is there a ``source -> target`` path through the boundary
+        taking ``automaton`` from its start to an accept state?
+
+        The caller has already asked the owning shard about same-shard
+        pairs.  The :class:`repro.partition.ReachPlanner` picks:
+
+        * **closure** — one in-shard batch per endpoint shard plus
+          O(1) hops in the automaton's boundary closure (built lazily,
+          persisted in the container);
+        * **chaining** — batched boundary chaining when the closure is
+          over budget and the boundary is sparse: one ``batch()`` per
+          (shard, wave) alternates in-shard probes with boundary hops;
+        * **bfs** — a dense boundary rivals the graph itself, so fall
+          back to a product BFS over the merged (LRU-backed) labeled
+          adjacency, the paper's any-algorithm-on-Prop.-4 route.
+        """
+        strategy = self._planner.strategy(
+            source_shard, target_shard,
+            closure_built=automaton.key in self._closures,
+            num_states=automaton.num_states)
+        if strategy == "local":
+            return False  # no boundary route exists for this pair
+        if strategy == "closure":
+            return self._route_by_closure(automaton, source, target,
+                                          source_shard, target_shard)
+        if strategy == "chaining":
+            return self._route_by_chaining(
+                automaton, source, target, target_shard,
+                same_shard=source_shard == target_shard)
+        return self._route_by_bfs(automaton, source, target)
+
+    def _route_by_closure(self, automaton: BoundaryAutomaton,
+                          source: int, target: int,
+                          source_shard: int, target_shard: int) -> bool:
         """Closure route: one in-shard batch per endpoint shard.
 
-        The product-closure mirror of reach's ``_reach_by_closure``:
-        the reachable product-vertex mask of ``(source, start)``,
-        intersected with the target shard's entry vertices, decides
-        which entry probes to ship.
+        Any cross-shard path decomposes as an intra-shard prefix to
+        the first exit, a boundary-graph walk, and an intra-shard
+        suffix from the last entry — so the reachable-vertex mask of
+        ``(source, start)``, intersected with the target shard's entry
+        vertices, decides which entry probes to ship.  Boundary
+        endpoints themselves skip their batch: their closure row is
+        the answer.
         """
-        closure = self.warm_rpq_closure(pattern)
+        closure = self._closure_for(automaton)
         boundary = self._boundary
-        num_states = dfa.num_states
+        states = range(automaton.num_states)
+        probe = automaton.probe
+        start = automaton.start
         if source in boundary.incident:
             mask = (closure.row_mask(source, start)
                     | closure.bit(source, start))
         else:
-            exits = boundary.exits[source_shard]
-            if not exits:
-                return False
             base = self._bases[source_shard]
-            probes = [(exit_node, state) for exit_node in exits
-                      for state in range(num_states)]
+            vertices = [(exit_node, state)
+                        for exit_node in boundary.exits[source_shard]
+                        for state in states]
+            if not vertices:
+                return False
             answers = self._shards[source_shard].batch(
-                [("rpq", pattern, source - base, exit_node - base,
-                  start, state) for exit_node, state in probes])
+                [probe(source - base, exit_node - base, start, state)
+                 for exit_node, state in vertices])
             mask = 0
-            for (exit_node, state), matched in zip(probes, answers):
+            for (exit_node, state), matched in zip(vertices, answers):
                 if matched:
                     mask |= (closure.row_mask(exit_node, state)
                              | closure.bit(exit_node, state))
@@ -1423,80 +1297,80 @@ class ShardedCompressedGraph(GraphService):
             return False
         if target in boundary.incident:
             return any(mask & closure.bit(target, state)
-                       for state in accept)
-        entries = boundary.entries[target_shard]
-        if not entries:
-            return False
+                       for state in automaton.accept)
         candidate_mask = mask & closure.mask_of(
-            (entry, state) for entry in entries
-            for state in range(num_states))
+            (entry, state) for entry in boundary.entries[target_shard]
+            for state in states)
         if not candidate_mask:
             return False
         base = self._bases[target_shard]
-        answers = self._shards[target_shard].batch(
-            [("rpq", pattern, entry - base, target - base, state,
-              *accept_tail)
-             for entry, state in closure.vertices_in(candidate_mask)])
-        return any(answers)
+        return any(self._shards[target_shard].batch(
+            [probe(entry - base, target - base, state)
+             for entry, state in closure.vertices_in(candidate_mask)]))
 
-    def _rpq_by_chaining(self, pattern: str, dfa: PatternDFA,
-                         source: int, target: int, start: int,
-                         accept, accept_tail: Tuple[int, ...],
-                         target_shard: int,
-                         checked: Set[Tuple[int, int]]) -> bool:
-        """Batched product chaining: per-shard RPQ probes + DFA-stepped
-        boundary hops, one ``batch()`` per (shard, wave)."""
+    def _route_by_chaining(self, automaton: BoundaryAutomaton,
+                           source: int, target: int, target_shard: int,
+                           same_shard: bool) -> bool:
+        """Batched boundary chaining: in-shard probes + boundary hops.
+
+        Each BFS wave groups its frontier of ``(node, state)``
+        vertices by owning shard and ships that shard's probes — exit
+        connectivity plus (in the target shard) the target probe — as
+        **one** ``batch()`` call, the wire format socket-proxy shards
+        forward in a single frame.
+        """
         boundary = self._boundary
-        boundary_out = self._boundary_out()
-        num_states = dfa.num_states
-        seen: Set[Tuple[int, int]] = {(source, start)}
-        frontier: List[Tuple[int, int]] = [(source, start)]
+        states = range(automaton.num_states)
+        probe, step, accept = (automaton.probe, automaton.step,
+                               automaton.accept)
+        origin = (source, automaton.start)
+        # The caller's same-shard check already ran the target probe
+        # for the source itself; don't pay that in-shard query twice.
+        checked = {origin} if same_shard else set()
+        seen = {origin}
+        frontier = [origin]
         while frontier:
             by_shard: Dict[int, List[Tuple[int, int]]] = {}
             for vertex in frontier:
                 by_shard.setdefault(self._owner(vertex[0]),
                                     []).append(vertex)
-            next_frontier: List[Tuple[int, int]] = []
+            frontier = []
             for shard in sorted(by_shard):
                 base = self._bases[shard]
                 exits = boundary.exits[shard]
-                hits: Set[Tuple[int, int]] = set()
+                hits = set()
                 probes: List[Tuple[Any, ...]] = []
-                probe_hits: List[Optional[Tuple[int, int]]] = []
-                for node, state in by_shard[shard]:
+                outcomes: List[Optional[Tuple[int, int]]] = []
+                for vertex in by_shard[shard]:
+                    node, state = vertex
                     local = node - base
-                    if (shard == target_shard
-                            and (node, state) not in checked):
-                        checked.add((node, state))
-                        probes.append(("rpq", pattern, local,
-                                       target - base, state,
-                                       *accept_tail))
-                        probe_hits.append(None)
+                    if shard == target_shard and vertex not in checked:
+                        checked.add(vertex)
+                        probes.append(probe(local, target - base,
+                                            state))
+                        outcomes.append(None)
                     for exit_node in exits:
-                        for next_state in range(num_states):
-                            if exit_node == node and \
-                                    next_state == state:
+                        for next_state in states:
+                            if exit_node == node and next_state == state:
                                 # The empty in-shard path: this
                                 # frontier vertex is itself an exit.
-                                hits.add((exit_node, next_state))
+                                hits.add(vertex)
                                 continue
-                            probes.append(("rpq", pattern, local,
-                                           exit_node - base, state,
-                                           next_state))
-                            probe_hits.append((exit_node, next_state))
+                            probes.append(probe(local, exit_node - base,
+                                                state, next_state))
+                            outcomes.append((exit_node, next_state))
                 if probes:
                     answers = self._shards[shard].batch(probes)
-                    for hit, matched in zip(probe_hits, answers):
+                    for hit, matched in zip(outcomes, answers):
                         if not matched:
                             continue
                         if hit is None:
                             return True
                         hits.add(hit)
                 for exit_node, state in hits:
-                    for label, entered in boundary_out.get(exit_node,
-                                                           ()):
-                        next_state = dfa.step_name(
-                            state, self._label_name(label))
+                    for label, entered in boundary.out_edges.get(
+                            exit_node, ()):
+                        next_state = step(state, self._label_name(label))
                         if next_state is None:
                             continue
                         if entered == target and next_state in accept:
@@ -1504,21 +1378,27 @@ class ShardedCompressedGraph(GraphService):
                         vertex = (entered, next_state)
                         if vertex not in seen:
                             seen.add(vertex)
-                            next_frontier.append(vertex)
-            frontier = next_frontier
+                            frontier.append(vertex)
         return False
 
-    def _rpq_by_bfs(self, dfa: PatternDFA, source: int, target: int,
-                    start: int, accept) -> bool:
-        """Product BFS over the merged labeled adjacency (dense
-        boundary); expansions go through the ``out_edges`` LRU."""
-        seen: Set[Tuple[int, int]] = {(source, start)}
+    def _route_by_bfs(self, automaton: BoundaryAutomaton, source: int,
+                      target: int) -> bool:
+        """Product BFS over the merged (LRU-backed) adjacency (dense
+        boundary).  An automaton without a DFA never reads a label, so
+        it expands through the cheaper unlabeled ``out`` neighborhoods
+        (sharing LRU entries with ``out``/``path``), not ``out_edges``."""
+        step, accept = automaton.step, automaton.accept
+        labeled = automaton.dfa is not None
+        seen = {(source, automaton.start)}
         queue = deque(seen)
         while queue:
             node, state = queue.popleft()
-            for label, successor in self.out_edges(node):
-                next_state = dfa.step_name(state,
-                                           self._label_name(label))
+            edges = (((self._label_name(label), successor)
+                      for label, successor in self.out_edges(node))
+                     if labeled else
+                     zip(repeat(None), self.out_neighbors(node)))
+            for name, successor in edges:
+                next_state = step(state, name)
                 if next_state is None:
                     continue
                 if successor == target and next_state in accept:
@@ -1557,25 +1437,22 @@ class ShardedCompressedGraph(GraphService):
         results = executor.run(self, list(requests), strict=True)
         return [result.unwrap() for result in results]
 
+    #: Neighborhood kinds -> the ``_merged_neighbors`` direction.
+    _NEIGHBOR_DIRECTIONS = {QueryKind.OUT: "out", QueryKind.IN: "in",
+                            QueryKind.NEIGHBORHOOD: "any"}
+
     def _uncached_query(self, kind: QueryKind,
                         args: Tuple[Any, ...]) -> Any:
         """One typed request, bypassing the result LRU (see
         :meth:`CompressedGraph._uncached_query`)."""
-        if kind is QueryKind.OUT:
+        direction = self._NEIGHBOR_DIRECTIONS.get(kind)
+        if direction is not None or kind is QueryKind.OUT_EDGES:
             if len(args) != 1:
-                raise TypeError(f"out() takes 1 argument "
+                raise TypeError(f"{kind.value}() takes 1 argument "
                                 f"({len(args)} given)")
-            return self._merged_neighbors(args[0], "out")
-        if kind is QueryKind.IN:
-            if len(args) != 1:
-                raise TypeError(f"in() takes 1 argument "
-                                f"({len(args)} given)")
-            return self._merged_neighbors(args[0], "in")
-        if kind is QueryKind.NEIGHBORHOOD:
-            if len(args) != 1:
-                raise TypeError(f"neighborhood() takes 1 argument "
-                                f"({len(args)} given)")
-            return self._merged_neighbors(args[0], "any")
+            if direction is None:
+                return self._out_edges_uncached(args[0])
+            return self._merged_neighbors(args[0], direction)
         if kind is QueryKind.REACH:
             return self._reach_uncached(*args)
         if kind is QueryKind.PATH:
@@ -1585,11 +1462,6 @@ class ShardedCompressedGraph(GraphService):
             return self._rpq_uncached(*args)
         if kind is QueryKind.PATTERN_COUNT:
             return self._pattern_count_uncached(*args)
-        if kind is QueryKind.OUT_EDGES:
-            if len(args) != 1:
-                raise TypeError(f"out_edges() takes 1 argument "
-                                f"({len(args)} given)")
-            return self._out_edges_uncached(args[0])
         from repro.serving.protocol import KIND_METHODS
         return getattr(self, KIND_METHODS[kind])(*args)
 
@@ -1606,7 +1478,7 @@ class ShardedCompressedGraph(GraphService):
         self.connected_components()
         self.edge_count()
         if (self._simple and not self.closure_built
-                and self._planner.closure_allowed):
+                and self._planner.closure_allowed()):
             self.warm_closure()
         return self
 
@@ -1621,6 +1493,13 @@ class ShardedCompressedGraph(GraphService):
     }
     #: Answers that are lists of local node IDs (need the +base shift).
     _OFFSET_RESULTS = {"out", "in", "neighborhood"}
+    #: Path kinds whose last two arguments are a (source, target) node
+    #: pair: the local batch kind and the count of leading string
+    #: arguments (the pattern) before the pair.
+    _PAIR_KINDS = {
+        QueryKind.REACH: ("reach", 0),
+        QueryKind.RPQ: ("rpq", 1),
+    }
 
     def _route_local(self, kind: QueryKind, args: Tuple[Any, ...]
                      ) -> Optional[Tuple[int, Tuple[Any, ...], str]]:
@@ -1638,37 +1517,27 @@ class ShardedCompressedGraph(GraphService):
             shard = self._owner(node)
             local = self._local(node, shard)
             return shard, (local_kind, local, *args[1:]), local_kind
-        if kind is QueryKind.REACH and len(args) == 2 \
-                and all(isinstance(arg, int) for arg in args):
-            source, target = args
-            if not (1 <= source <= self._total_nodes
-                    and 1 <= target <= self._total_nodes):
-                return None
-            shard = self._owner(source)
-            # A shard that no boundary edge touches can never be left
-            # or re-entered, so its local answer is the global one.
-            if (shard == self._owner(target)
-                    and shard not in self._boundary.touched):
-                return (shard,
-                        ("reach", self._local(source, shard),
-                         self._local(target, shard)),
-                        "reach")
-        if kind is QueryKind.RPQ and len(args) == 3 \
-                and isinstance(args[0], str) \
-                and all(isinstance(arg, int) for arg in args[1:]):
-            pattern, source, target = args
-            if not (1 <= source <= self._total_nodes
-                    and 1 <= target <= self._total_nodes):
-                return None
-            shard = self._owner(source)
-            # An untouched shard is never left or re-entered, so the
-            # in-shard RPQ answer is the global one.
-            if (shard == self._owner(target)
-                    and shard not in self._boundary.touched):
-                return (shard,
-                        ("rpq", pattern, self._local(source, shard),
-                         self._local(target, shard)),
-                        "rpq")
+        pair_kind = self._PAIR_KINDS.get(kind)
+        if pair_kind is not None:
+            local_kind, head = pair_kind
+            if (len(args) == head + 2
+                    and all(isinstance(arg, str) for arg in args[:head])
+                    and all(isinstance(arg, int) for arg in args[head:])):
+                source, target = args[head:]
+                if not (1 <= source <= self._total_nodes
+                        and 1 <= target <= self._total_nodes):
+                    return None
+                shard = self._owner(source)
+                # A shard that no boundary edge touches can never be
+                # left or re-entered, so its local answer is the
+                # global one.
+                if (shard == self._owner(target)
+                        and shard not in self._boundary.touched):
+                    return (shard,
+                            (local_kind, *args[:head],
+                             self._local(source, shard),
+                             self._local(target, shard)),
+                            local_kind)
         return None
 
     def _fanout_jobs(self, jobs: List[QueryRequest],
@@ -1809,169 +1678,6 @@ class ShardedCompressedGraph(GraphService):
         return (f"ShardedCompressedGraph(shards={len(self._shards)}, "
                 f"nodes={self._total_nodes}, "
                 f"boundary={self._boundary.edge_count}, index={built})")
-
-
-# ----------------------------------------------------------------------
-# RPQ product-closure trailer codec (the "GRPS" 'R' section)
-# ----------------------------------------------------------------------
-def _encode_rpq_closures(entries: Sequence[Tuple[PatternDFA,
-                                                 ProductClosure]]
-                         ) -> bytes:
-    """``count`` + per entry the canonical DFA and its closure, each
-    length-prefixed.  Entries arrive sorted by DFA bytes, so the
-    section is deterministic for a given set of warmed patterns."""
-    out = bytearray()
-    write_uvarint(out, len(entries))
-    for dfa, product in entries:
-        dfa_bytes = dfa.to_bytes()
-        write_uvarint(out, len(dfa_bytes))
-        out.extend(dfa_bytes)
-        closure_bytes = product.to_bytes()
-        write_uvarint(out, len(closure_bytes))
-        out.extend(closure_bytes)
-    return bytes(out)
-
-
-def _decode_rpq_closures(data: bytes
-                         ) -> List[Tuple[PatternDFA, ProductClosure]]:
-    try:
-        count, pos = read_uvarint(data, 0)
-        entries: List[Tuple[PatternDFA, ProductClosure]] = []
-        for _ in range(count):
-            dfa_len, pos = read_uvarint(data, pos)
-            if pos + dfa_len > len(data):
-                raise EncodingError("truncated rpq closure DFA")
-            dfa = PatternDFA.from_bytes(data[pos:pos + dfa_len])
-            pos += dfa_len
-            closure_len, pos = read_uvarint(data, pos)
-            if pos + closure_len > len(data):
-                raise EncodingError("truncated rpq closure rows")
-            product = ProductClosure.from_bytes(
-                data[pos:pos + closure_len])
-            pos += closure_len
-            entries.append((dfa, product))
-    except (IndexError, ValueError) as exc:
-        raise EncodingError(
-            f"corrupt rpq closure section: {exc}") from None
-    if pos != len(data):
-        raise EncodingError(
-            f"{len(data) - pos} trailing bytes in rpq closure section")
-    return entries
-
-
-# ----------------------------------------------------------------------
-# Meta section codec (the routing summary inside the "GRPS" container)
-# ----------------------------------------------------------------------
-def _encode_meta(shard_nodes: List[int],
-                 boundary_edges: List[Tuple[int, Tuple[int, ...]]],
-                 blocks: List[List[Tuple[int, ...]]],
-                 extrema: Optional[Dict[str, int]],
-                 degree_error: Optional[str],
-                 simple: bool,
-                 partitioner: str) -> bytes:
-    out = bytearray()
-    write_uvarint(out, _META_VERSION)
-    name = partitioner.encode("utf-8")
-    write_uvarint(out, len(name))
-    out.extend(name)
-    out.append(1 if simple else 0)
-    write_uvarint(out, len(shard_nodes))
-    for count in shard_nodes:
-        write_uvarint(out, count)
-    if extrema is not None:
-        out.append(1)
-        for field in ("max_out", "min_out", "max_in", "min_in",
-                      "max", "min"):
-            write_uvarint(out, extrema[field])
-    else:
-        out.append(0)
-        message = (degree_error or "").encode("utf-8")
-        write_uvarint(out, len(message))
-        out.extend(message)
-    write_uvarint(out, len(boundary_edges))
-    for label, att in boundary_edges:
-        write_uvarint(out, label)
-        write_uvarint(out, len(att))
-        for node in att:
-            write_uvarint(out, node)
-    write_uvarint(out, len(blocks))
-    for shard_blocks in blocks:
-        write_uvarint(out, len(shard_blocks))
-        for block in shard_blocks:
-            write_uvarint(out, len(block))
-            for node in block:
-                write_uvarint(out, node)
-    return bytes(out)
-
-
-def _decode_meta(data: bytes, num_shards: int):
-    try:
-        pos = 0
-        version, pos = read_uvarint(data, pos)
-        if version != _META_VERSION:
-            raise EncodingError(
-                f"unsupported sharded meta version {version}")
-        name_len, pos = read_uvarint(data, pos)
-        partitioner = data[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        simple = bool(data[pos])
-        pos += 1
-        count, pos = read_uvarint(data, pos)
-        shard_nodes: List[int] = []
-        for _ in range(count):
-            nodes, pos = read_uvarint(data, pos)
-            shard_nodes.append(nodes)
-        extrema: Optional[Dict[str, int]] = None
-        degree_error: Optional[str] = None
-        flag = data[pos]
-        pos += 1
-        if flag:
-            values = []
-            for _ in range(6):
-                value, pos = read_uvarint(data, pos)
-                values.append(value)
-            extrema = dict(zip(("max_out", "min_out", "max_in",
-                                "min_in", "max", "min"), values))
-        else:
-            msg_len, pos = read_uvarint(data, pos)
-            degree_error = (data[pos:pos + msg_len].decode("utf-8")
-                            or None)
-            pos += msg_len
-        edge_count, pos = read_uvarint(data, pos)
-        boundary_edges: List[Tuple[int, Tuple[int, ...]]] = []
-        for _ in range(edge_count):
-            label, pos = read_uvarint(data, pos)
-            rank, pos = read_uvarint(data, pos)
-            att = []
-            for _ in range(rank):
-                node, pos = read_uvarint(data, pos)
-                att.append(node)
-            boundary_edges.append((label, tuple(att)))
-        block_shards, pos = read_uvarint(data, pos)
-        if block_shards != num_shards:
-            raise EncodingError(
-                f"meta blocks cover {block_shards} shards, expected "
-                f"{num_shards}"
-            )
-        blocks: List[List[Tuple[int, ...]]] = []
-        for _ in range(block_shards):
-            shard_count, pos = read_uvarint(data, pos)
-            shard_blocks = []
-            for _ in range(shard_count):
-                size, pos = read_uvarint(data, pos)
-                block = []
-                for _ in range(size):
-                    node, pos = read_uvarint(data, pos)
-                    block.append(node)
-                shard_blocks.append(tuple(block))
-            blocks.append(shard_blocks)
-        if pos != len(data):
-            raise EncodingError(
-                f"{len(data) - pos} trailing bytes in sharded meta")
-    except (IndexError, ValueError) as exc:
-        raise EncodingError(f"corrupt sharded meta: {exc}") from None
-    return (shard_nodes, boundary_edges, blocks, extrema, degree_error,
-            simple, partitioner)
 
 
 # ----------------------------------------------------------------------

@@ -423,7 +423,10 @@ class TestServeAndConnect:
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         try:
             deadline = time.time() + 60
-            while not ready.exists() and time.time() < deadline:
+            # The file exists a moment before its line is written.
+            while not (ready.exists()
+                       and ready.read_text().endswith("\n")) \
+                    and time.time() < deadline:
                 assert process.poll() is None, \
                     process.stderr.read().decode()
                 time.sleep(0.05)

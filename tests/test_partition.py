@@ -15,17 +15,28 @@ Three pillars:
   ``test_sharding.py`` pins the renumbering itself).
 * **closure persistence** — a "GRPS" round trip preserves the closure
   byte-identically, and a loaded closure short-circuits the rebuild.
+* **closure codec** — one lane over ``num_states`` in {1, 3} (reach
+  and a pattern DFA are the same class): round trip, truncation,
+  trailing bytes, bits beyond the vertex count, wrong node set.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import time
 from collections import deque
 
 import pytest
 
 from repro import CompressedGraph, ShardedCompressedGraph
 from repro.bench.corpora import SMOKE_CORPORA
+from repro.encoding.container import (
+    decode_sharded_container,
+    encode_closure_table,
+    encode_sharded_container,
+)
 from repro.exceptions import EncodingError, GrammarError
 from repro.partition import (
     PARTITIONERS,
@@ -36,8 +47,9 @@ from repro.partition import (
     label_partition,
     resolve_partitioner,
 )
+from repro.rpq import compile_pattern
 
-from helpers import theta_graph
+from helpers import exploding_build, theta_graph
 
 #: The single-component smoke corpora (the edge-cut partitioners'
 #: raison d'être: hash shreds these, connectivity cannot split them).
@@ -254,7 +266,7 @@ class TestReachPlanner:
         handle.planner.closure_budget = 0
         plan = handle.planner.plan(0, 3)
         assert plan.strategy in ("chaining", "bfs")
-        assert not handle.planner.closure_allowed
+        assert not handle.planner.closure_allowed()
 
     def test_built_closure_is_sunk_cost(self):
         handle = self._handle()
@@ -287,8 +299,11 @@ class TestReachPlanner:
         for source in range(4):
             for target in range(4):
                 for built in (False, True):
-                    assert (planner.plan(source, target, built).strategy
-                            == planner.strategy(source, target, built))
+                    for states in (1, 3):
+                        assert (planner.plan(source, target, built,
+                                             states).strategy
+                                == planner.strategy(source, target,
+                                                    built, states))
         planner.force = "bfs"
         assert planner.strategy(0, 3) == "bfs"
         planner.force = None
@@ -297,7 +312,7 @@ class TestReachPlanner:
         handle = self._handle()
         planner = ReachPlanner(handle.boundary, handle.node_count(),
                                closure_budget=10 ** 9)
-        assert planner.closure_allowed
+        assert planner.closure_allowed()
         assert planner.plan(0, 3).strategy == "closure"
 
     def test_warm_builds_closure_within_budget(self):
@@ -308,7 +323,7 @@ class TestReachPlanner:
 
     def test_warm_skips_closure_over_budget(self):
         handle = self._handle(partitioner="hash")
-        assert not handle.planner.closure_allowed
+        assert not handle.planner.closure_allowed()
         handle.warm()
         assert not handle.closure_built
 
@@ -345,9 +360,6 @@ class TestClosurePersistence:
         path = tmp_path / "g.grps"
         handle.save(path)
         loaded = ShardedCompressedGraph.open(path)
-
-        def exploding_build(*args, **kwargs):  # pragma: no cover
-            raise AssertionError("a persisted closure was rebuilt")
 
         monkeypatch.setattr(BoundaryClosure, "build", exploding_build)
         closure = loaded.warm_closure()
@@ -407,12 +419,6 @@ class TestClosurePersistence:
         loaded = ShardedCompressedGraph.from_bytes(blob)
         assert loaded.to_bytes() == blob
 
-    def test_closure_codec_roundtrip(self):
-        _, _, handle = self._warm_handle()
-        closure = handle.warm_closure()
-        decoded = BoundaryClosure.from_bytes(closure.to_bytes())
-        assert decoded == closure
-
     def test_closure_on_hyperedges_raises_cleanly(self, tmp_path):
         """Non-simple graphs cannot use reach, hence no closure: the
         build (and a forced persist) must fail with a clear error,
@@ -436,37 +442,223 @@ class TestClosurePersistence:
         loaded = ShardedCompressedGraph.open(tmp_path / "g.grps")
         assert not loaded.closure_persisted
 
-    def test_corrupt_closure_rejected(self):
+# ----------------------------------------------------------------------
+# The closure codec: one lane, reach (1 state) and a pattern DFA (3)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("num_states", [1, 3])
+class TestClosureCodec:
+    def _handle(self):
+        graph, alphabet = SMOKE_CORPORA["rdf-identica"]()
+        return ShardedCompressedGraph.compress(
+            graph, alphabet, shards=4, partitioner="bfs",
+            validate=False)
+
+    def _pattern(self, handle):
+        name = handle.alphabet.name(
+            next(iter(handle.alphabet.terminals())))
+        pattern = f"<{name}> <{name}>"
+        assert compile_pattern(pattern).num_states == 3
+        return pattern
+
+    def _spliced(self, handle, num_states, closure):
+        """The handle's container with its closure swapped out."""
+        container = decode_sharded_container(handle.to_bytes())
+        if num_states == 1:
+            return encode_sharded_container(
+                container.meta, container.shards, closure.to_bytes())
+        dfa = compile_pattern(self._pattern(handle))
+        return encode_sharded_container(
+            container.meta, container.shards, None,
+            encode_closure_table([(dfa.to_bytes(), closure.num_states,
+                                   closure.to_bytes())]))
+
+    def test_roundtrip(self, num_states):
+        handle = self._handle()
+        closure = handle.warm_closure(
+            None if num_states == 1 else self._pattern(handle))
+        assert closure.num_states == num_states
+        decoded = BoundaryClosure.from_bytes(closure.to_bytes(),
+                                             num_states)
+        assert decoded == closure
+        assert decoded.num_states == num_states
+        # The same rows under another state count are another closure.
+        assert decoded != BoundaryClosure(closure.nodes, closure.rows,
+                                          num_states + 1)
+
+    def test_truncated_rejected(self, num_states):
         with pytest.raises(EncodingError, match="closure"):
-            BoundaryClosure.from_bytes(b"\x05\x01")
-        closure = BoundaryClosure([], [])
+            BoundaryClosure.from_bytes(b"\x05\x01", num_states)
+        with pytest.raises(EncodingError, match="truncated"):
+            BoundaryClosure.from_bytes(
+                BoundaryClosure([3, 7], [0] * (2 * num_states),
+                                num_states).to_bytes()[:-1], num_states)
+
+    def test_trailing_bytes_rejected(self, num_states):
+        closure = BoundaryClosure([], [], num_states)
         with pytest.raises(EncodingError, match="trailing"):
-            BoundaryClosure.from_bytes(closure.to_bytes() + b"\x00")
-        # Row bits beyond the node count mark a corrupt container.
-        crafted = BoundaryClosure([3, 7], [1, 2]).to_bytes()
+            BoundaryClosure.from_bytes(closure.to_bytes() + b"\x00",
+                                       num_states)
+
+    def test_bits_beyond_the_vertex_count_rejected(self, num_states):
+        """Row bits past ``nodes * states`` mark a corrupt container."""
+        crafted = BoundaryClosure([3, 7], [1] * (2 * num_states),
+                                  num_states).to_bytes()
         corrupted = crafted[:-1] + bytes([crafted[-1] | 0x80])
         with pytest.raises(EncodingError, match="beyond"):
-            BoundaryClosure.from_bytes(corrupted)
+            BoundaryClosure.from_bytes(corrupted, num_states)
 
-    def test_mismatched_closure_rejected_at_load(self):
+    def test_wrong_node_set_rejected_at_load(self, num_states):
         """A structurally valid closure over the wrong boundary node
         set (a spliced container) must fail at load like the meta
         shard-count mismatch does — not as a KeyError at query time."""
-        from repro.encoding.container import (
-            decode_sharded_container,
-            encode_sharded_container,
-        )
-        graph, alphabet = SMOKE_CORPORA["rdf-identica"]()
-        handle = ShardedCompressedGraph.compress(
-            graph, alphabet, shards=4, partitioner="bfs",
-            validate=False)
-        handle.warm_closure()
-        container = decode_sharded_container(handle.to_bytes())
-        wrong = BoundaryClosure([1, 2], [2, 1]).to_bytes()
-        spliced = encode_sharded_container(container.meta,
-                                           container.shards, wrong)
+        handle = self._handle()
+        wrong = BoundaryClosure([1, 2], [0] * (2 * num_states),
+                                num_states)
+        spliced = self._spliced(handle, num_states, wrong)
         with pytest.raises(EncodingError, match="boundary node"):
             ShardedCompressedGraph.from_bytes(spliced.data)
+
+    def test_wrong_state_count_rejected_at_load(self, num_states):
+        """An entry whose state count is not its DFA's (for reach:
+        rows sized for a different count) cannot be loaded."""
+        handle = self._handle()
+        nodes = sorted(handle.boundary.incident)
+        wrong = BoundaryClosure(nodes, [0] * (len(nodes) * 2), 2)
+        spliced = self._spliced(handle, num_states, wrong)
+        with pytest.raises(EncodingError,
+                           match="closure|state count"):
+            ShardedCompressedGraph.from_bytes(spliced.data)
+
+
+# ----------------------------------------------------------------------
+# A closure is built once per automaton key, also under concurrency
+# ----------------------------------------------------------------------
+class CountingShard:
+    """A shard stub: counts ``batch()`` calls, optionally gating them."""
+
+    def __init__(self, shard, gate=None):
+        self._shard = shard
+        self._gate = gate
+        self._lock = threading.Lock()
+        self.batches = 0
+
+    def batch(self, requests, **kwargs):
+        with self._lock:
+            self.batches += 1
+        if self._gate is not None:
+            self._gate()
+        return self._shard.batch(requests, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._shard, name)
+
+
+class TestClosureBuildConcurrency:
+    def _handle(self, gate=None):
+        graph, alphabet = SMOKE_CORPORA["rdf-identica"]()
+        handle = ShardedCompressedGraph.compress(
+            graph, alphabet, shards=2, partitioner="bfs",
+            validate=False)
+        handle.warm()  # indexes first: only closure probes race below
+        handle._shards[:] = [CountingShard(shard, gate)
+                             for shard in handle._shards]
+        names = [handle.alphabet.name(label)
+                 for label in handle.alphabet.terminals()]
+        return handle, names
+
+    def _run(self, calls):
+        """Run the callables on one thread each, released together."""
+        start = threading.Barrier(len(calls))
+        results = [None] * len(calls)
+
+        def work(position):
+            start.wait(timeout=30)
+            try:
+                results[position] = calls[position]()
+            except BaseException as exc:  # surfaced by the assertions
+                results[position] = exc
+
+        threads = [threading.Thread(target=work, args=(position,),
+                                    daemon=True)
+                   for position in range(len(calls))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        return results
+
+    @pytest.mark.timeout(120)
+    def test_eight_threads_one_pattern_one_build(self, monkeypatch):
+        handle, names = self._handle(gate=lambda: time.sleep(0.02))
+        builds = []
+        original = BoundaryClosure.build.__func__
+
+        def counting_build(cls, *args, **kwargs):
+            builds.append(threading.get_ident())
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(BoundaryClosure, "build",
+                            classmethod(counting_build))
+        # Two spellings of one canonical DFA: one key, one build.
+        spellings = [f"(<{names[0]}>|<{names[-1]}>)+",
+                     f"(<{names[-1]}>|<{names[0]}>)+"]
+        before = sum(shard.batches for shard in handle._shards)
+        closures = self._run(
+            [lambda pattern=spellings[position % 2]:
+             handle.warm_closure(pattern) for position in range(8)])
+        assert len(builds) == 1
+        assert all(closure is closures[0] for closure in closures)
+        assert isinstance(closures[0], BoundaryClosure)
+        # One build = one probe batch per shard, not eight.
+        assert sum(shard.batches for shard in handle._shards) \
+            - before == 2
+        assert handle.rpq_info["rpq_closures"] == 1
+
+    @pytest.mark.timeout(120)
+    def test_different_patterns_build_concurrently(self):
+        """Both builders must be inside their probe batch at once: a
+        handle-wide lock around the build would break the barrier."""
+        inside = threading.Barrier(2)
+        handle, names = self._handle()
+        handle._shards[0] = CountingShard(
+            handle._shards[0]._shard,
+            gate=lambda: inside.wait(timeout=20))
+        closures = self._run(
+            [lambda: handle.warm_closure(f"<{names[0]}>+"),
+             lambda: handle.warm_closure(f"<{names[-1]}>+")])
+        assert all(isinstance(closure, BoundaryClosure)
+                   for closure in closures), closures
+        assert closures[0] is not closures[1]
+        assert handle.rpq_info["rpq_closures"] == 2
+
+    @pytest.mark.timeout(120)
+    def test_failed_build_is_retried_by_a_waiter(self):
+        """A build that dies leaves no entry and no stuck waiters."""
+        from repro.exceptions import QueryError
+        failures = []
+
+        def flaky():
+            if not failures:
+                failures.append(1)
+                raise QueryError("injected probe failure")
+
+        handle, names = self._handle()
+        handle._shards[0] = CountingShard(handle._shards[0]._shard,
+                                          gate=flaky)
+        pattern = f"<{names[0]}>+"
+        outcomes = self._run(
+            [lambda: handle.warm_closure(pattern)] * 4)
+        errors = [o for o in outcomes if isinstance(o, BaseException)]
+        assert len(errors) == 1 and "injected" in str(errors[0])
+        built = [o for o in outcomes if isinstance(o, BoundaryClosure)]
+        assert len(built) == 3 and all(c is built[0] for c in built)
+        assert handle.rpq_info["rpq_closures"] == 1
 
 
 # ----------------------------------------------------------------------

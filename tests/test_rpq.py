@@ -14,8 +14,9 @@ Differential acceptance for ``repro.rpq``:
   handle; ``k>1`` is checked against its own decompression under
   every forced strategy (closure / chaining / bfs); ID-free
   pattern-count aggregates must equal the unsharded handle exactly.
-* **persistence** — warmed product closures survive the GRPS 'R'
-  trailer round-trip and corrupt sections are rejected.
+* **persistence** — warmed per-pattern closures survive the GRPS 'R'
+  trailer round-trip and a corrupt table is rejected (the closure
+  codec itself is pinned for 1 and 3 states in ``test_partition.py``).
 * **serving** — a socket-served handle answers ``rpq`` /
   ``pattern_count`` / ``out_edges`` byte-identically to the
   in-process handle on both codecs (SIGALRM-bounded).
@@ -32,15 +33,18 @@ import pytest
 
 from repro import CompressedGraph, ShardedCompressedGraph
 from repro.bench.corpora import SMOKE_CORPORA
-from repro.encoding.container import decode_sharded_container
+from repro.encoding.container import (
+    decode_closure_table,
+    decode_sharded_container,
+)
 from repro.exceptions import EncodingError, QueryError
-from repro.partition import ProductClosure
+from repro.partition import BoundaryClosure, ReachPlanner
 from repro.rpq import cache_key, compile_pattern
 from repro.rpq.regex import PatternDFA
 from repro.serving import GraphServer
 from repro.serving.protocol import QueryKind, QueryRequest
 
-from helpers import to_networkx
+from helpers import exploding_build, to_networkx
 
 #: Pattern templates instantiated with each corpus's label names
 #: (``{a}`` = first name, ``{z}`` = last name).
@@ -467,17 +471,32 @@ class TestShardedRPQ:
         sharded = ShardedCompressedGraph.compress(
             graph, alphabet, shards=2, partitioner="bfs",
             validate=False)
-        planner = sharded._planner
+        planner = sharded.planner
         # More states -> strictly costlier closure builds; a huge
         # automaton must eventually fall out of the probe budget.
-        assert planner.rpq_closure_allowed(1) == \
-            planner.closure_allowed
-        assert not planner.rpq_closure_allowed(10 ** 6)
-        strategy = planner.rpq_strategy(0, 1, 2)
-        assert strategy in ("local", "closure", "chaining", "bfs")
-        assert planner.rpq_strategy(0, 1, 2, force="bfs") == "bfs"
-        # A per-call force never leaks into reach planning.
-        assert planner.force is None
+        assert planner.closure_allowed(1) == planner.closure_allowed()
+        assert not planner.closure_allowed(10 ** 6)
+        assert planner.strategy(0, 1, num_states=10 ** 6) != "closure"
+        roomy = ReachPlanner(
+            sharded.boundary, sharded.node_count(),
+            closure_budget=4 * sharded.boundary.closure_pairs())
+        assert roomy.closure_allowed(2)
+        assert not roomy.closure_allowed(3)
+        assert roomy.strategy(0, 1, num_states=3) != "closure"
+        # ...unless the build is already paid for.
+        assert roomy.strategy(0, 1, True, 3) == \
+            roomy.strategy(0, 1, num_states=2)
+        # Every estimate carries its |Q| factor.
+        one, two = planner.plan(0, 1), planner.plan(0, 1, num_states=2)
+        assert two.costs["closure"] == 2 * one.costs["closure"]
+        assert two.costs["chaining"] == 4 * one.costs["chaining"]
+        assert two.costs["bfs"] == 2 * one.costs["bfs"]
+        assert two.costs["closure_build"] == \
+            4 * one.costs["closure_build"]
+        # planner.force is the one override, for reach and rpq alike.
+        planner.force = "bfs"
+        assert planner.strategy(0, 1, num_states=2) == "bfs"
+        planner.force = None
 
 
 # ----------------------------------------------------------------------
@@ -490,25 +509,28 @@ class TestClosurePersistence:
             graph, alphabet, shards=shards, partitioner="bfs",
             validate=False)
 
-    def test_roundtrip_preserves_closures_and_answers(self):
+    def test_roundtrip_preserves_closures_and_answers(self,
+                                                      monkeypatch):
         sharded = self.build()
         names = label_names(sharded.alphabet)
         pattern = f"(<{names[0]}>|<{names[-1]}>)+"
-        sharded.warm_rpq_closure(pattern)
-        sharded.warm_rpq_closure(f"<{names[0]}>")
-        assert sharded.rpq_closures_built == 2
-        assert not sharded.rpq_closures_persisted
+        sharded.warm_closure(pattern)
+        sharded.warm_closure(f"<{names[0]}>")
+        assert sharded.rpq_info["rpq_closures"] == 2
+        assert not sharded.closure_built  # patterns only, no reach
         blob = sharded.to_bytes()
-        rpq_blob = decode_sharded_container(blob).rpq_closures
-        assert rpq_blob is not None
-        assert sharded.rpq_closures_persisted
+        assert decode_sharded_container(blob).rpq_closures is not None
+        assert "rpq_closures" in sharded.sizes
+        assert "closure" not in sharded.sizes
         loaded = ShardedCompressedGraph.from_bytes(blob)
-        assert loaded.rpq_closures_built == 2
-        assert loaded.rpq_closures_persisted
+        assert loaded.rpq_info["rpq_closures"] == 2
+        assert "rpq_closures" in loaded.sizes
         # The loaded closure answers without rebuilding: equivalent
         # patterns (same canonical DFA) reuse the persisted rows.
-        dfa = compile_pattern(pattern)
-        assert dfa.key in loaded._rpq_closures
+        monkeypatch.setattr(BoundaryClosure, "build", exploding_build)
+        flipped = f"(<{names[-1]}>|<{names[0]}>)+"
+        assert loaded.warm_closure(flipped) == \
+            sharded.warm_closure(pattern)
         loaded._planner.force = "closure"
         pairs = probe_pairs(sharded.node_count(), count=12, seed=23)
         sharded._planner.force = "closure"
@@ -516,32 +538,26 @@ class TestClosurePersistence:
             assert loaded.rpq(pattern, source, target) == \
                 sharded.rpq(pattern, source, target)
 
-    def test_closure_equality_and_codec(self):
+    def test_corrupt_table_rejected(self):
         sharded = self.build()
         names = label_names(sharded.alphabet)
-        closure = sharded.warm_rpq_closure(f"<{names[0]}>+")
-        again = ProductClosure.from_bytes(closure.to_bytes())
-        assert again == closure
-        assert again.num_states == closure.num_states
-
-    def test_corrupt_sections_rejected(self):
-        sharded = self.build()
-        names = label_names(sharded.alphabet)
-        sharded.warm_rpq_closure(f"<{names[0]}>")
+        sharded.warm_closure(f"<{names[0]}>")
         blob = sharded.to_bytes()
         rpq_blob = decode_sharded_container(blob).rpq_closures
+        assert len(decode_closure_table(rpq_blob)) == 1
         with pytest.raises(EncodingError, match="rpq closure"):
-            from repro.sharding import _decode_rpq_closures
-            _decode_rpq_closures(rpq_blob[:-2])
+            decode_closure_table(rpq_blob[:-2])
+        with pytest.raises(EncodingError, match="trailing"):
+            decode_closure_table(rpq_blob + b"\x00")
 
     def test_save_roundtrip_through_files(self, tmp_path):
         sharded = self.build()
         names = label_names(sharded.alphabet)
-        sharded.warm_rpq_closure(f"<{names[0]}>")
+        sharded.warm_closure(f"<{names[0]}>")
         path = tmp_path / "with-rpq.grps"
         sharded.save(path)
         loaded = ShardedCompressedGraph.open(path)
-        assert loaded.rpq_closures_built == 1
+        assert loaded.rpq_info["rpq_closures"] == 1
         assert loaded.stats["rpq_closures"] == 1
 
 
@@ -556,7 +572,7 @@ class TestServedRPQ:
             graph, alphabet, shards=2, partitioner="bfs",
             validate=False)
         names = label_names(sharded.alphabet)
-        sharded.warm_rpq_closure(f"(<{names[0]}>|<{names[-1]}>)+")
+        sharded.warm_closure(f"(<{names[0]}>|<{names[-1]}>)+")
         servers = {codec: GraphServer(sharded.to_bytes(),
                                       codec=codec).start()
                    for codec in ("json", "binary")}

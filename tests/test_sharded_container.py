@@ -11,6 +11,7 @@ query answer — the per-shard numbering survives because
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.encoding.container import (
 )
 from repro.exceptions import EncodingError
 
-from helpers import theta_graph
+from helpers import exploding_build, theta_graph
 
 
 def _sharded_handle(corpus="er-random", shards=3):
@@ -195,3 +196,76 @@ class TestRoundtrip:
             8.0 * handle.total_bytes / handle.edge_count())
         with pytest.raises(EncodingError):
             handle.bits_per_edge(0)
+
+
+# ----------------------------------------------------------------------
+# Format pin: a file written before the closure classes merged
+# ----------------------------------------------------------------------
+#: Written by commit 3ac685c (PR 12, the parent of the reach-is-RPQ
+#: merge) with: ``jamendo_graph(12, seed=13)``, 2 ``bfs`` shards,
+#: the reach closure and a per-pattern closure for both patterns below
+#: warmed, ``to_bytes()``.  Never regenerate it from current code — the point
+#: is that today's reader and writer agree with yesterday's bytes.
+PIN_FILE = Path(__file__).parent / "data" / "pin_jamendo12_bfs2.grps"
+PIN_PATTERNS = ("<foaf:made> <dc:title>", "(<foaf:made>|<mo:tag>)+")
+
+
+class TestFormatPin:
+    def test_parent_written_file_reencodes_byte_for_byte(self):
+        blob = PIN_FILE.read_bytes()
+        loaded = ShardedCompressedGraph.from_bytes(blob)
+        assert loaded.closure_built and loaded.closure_persisted
+        assert loaded.rpq_info["rpq_closures"] == 2
+        assert set(decode_sharded_container(blob).section_bytes()) == \
+            set(loaded.sizes)
+        # Same parameters -> the cached file; different parameters ->
+        # a genuine re-encode of every section, closures included.
+        assert loaded.to_bytes() == blob
+        unnamed = loaded.to_bytes(include_names=False)
+        assert unnamed != blob
+        assert loaded.to_bytes() == blob
+        again = decode_sharded_container(unnamed)
+        pinned = decode_sharded_container(blob)
+        assert again.meta == pinned.meta
+        assert again.closure == pinned.closure
+        assert again.rpq_closures == pinned.rpq_closures
+
+    def test_fresh_build_equals_the_pinned_bytes(self):
+        from repro.datasets.rdf import jamendo_graph
+        graph, alphabet = jamendo_graph(12, seed=13)
+        handle = ShardedCompressedGraph.compress(
+            graph, alphabet, shards=2, partitioner="bfs")
+        handle.warm_closure()
+        for pattern in PIN_PATTERNS:
+            handle.warm_closure(pattern)
+        assert handle.to_bytes() == PIN_FILE.read_bytes()
+
+    def test_pinned_closures_answer_like_bfs(self, monkeypatch):
+        from repro.partition import BoundaryClosure
+
+        monkeypatch.setattr(BoundaryClosure, "build", exploding_build)
+        loaded = ShardedCompressedGraph.open(PIN_FILE, cache_size=0)
+        total = loaded.node_count()
+        rng = random.Random(53)
+        out = {}
+        for _, edge in loaded.decompress().edges():
+            out.setdefault(edge.att[0], []).append(edge.att[1])
+        # Random walks give connected pairs (the graph is sparse, so
+        # uniform pairs alone would almost all answer False).
+        pairs = [(rng.randint(1, total), rng.randint(1, total))
+                 for _ in range(40)]
+        for start in rng.sample(sorted(out), 60):
+            node = start
+            for _ in range(rng.randint(1, 4)):
+                node = rng.choice(out.get(node, [node]))
+            pairs.append((start, node))
+        requests = [("reach", s, t) for s, t in pairs]
+        requests += [("rpq", pattern, s, t)
+                     for pattern in PIN_PATTERNS for s, t in pairs]
+        answers = {}
+        for strategy in ("closure", "bfs"):
+            loaded.planner.force = strategy
+            answers[strategy] = loaded.batch(requests)
+        assert answers["closure"] == answers["bfs"]
+        assert any(answers["bfs"][:len(pairs)])
+        assert any(answers["bfs"][len(pairs):])
