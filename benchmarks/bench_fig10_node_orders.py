@@ -47,6 +47,7 @@ def test_fig10_order_comparison(benchmark, name):
         assert row["fp"] <= row[best] * 1.15 + 0.2
 
 
+@pytest.mark.smoke
 def test_fig10_fp_wins_big_on_version_graphs(benchmark):
     """The paper's headline Figure 10/14 effect."""
     graph, alphabet = load_dataset("dblp60-70")

@@ -15,6 +15,8 @@ is much smaller than the graph BFS walks, and query answers agree.
 import random
 from collections import deque
 
+import pytest
+
 from repro import CompressedGraph
 from repro.bench import Report
 from repro.datasets import fig13_base_graph, identical_copies
@@ -36,6 +38,7 @@ def _bfs_reachable(adjacency, source, target):
     return target in seen
 
 
+@pytest.mark.smoke
 def test_query_speedup(benchmark):
     graph, alphabet = identical_copies(fig13_base_graph(), 512)
     handle = CompressedGraph.compress(graph, alphabet, validate=False)

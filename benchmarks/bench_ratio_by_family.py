@@ -13,6 +13,8 @@ DESIGN.md calls out: the virtual-edge pass and pruning.
 
 from statistics import mean
 
+import pytest
+
 from repro.bench import Report, grepair_bytes
 from repro.core.pipeline import GRePairSettings, compress
 from repro.datasets import load_dataset
@@ -61,6 +63,7 @@ def test_start_graph_dominates_output_on_networks(benchmark):
     assert start_share > 0.5
 
 
+@pytest.mark.smoke
 def test_ablation_virtual_edges(benchmark):
     """Virtual edges are what make version graphs compress."""
     graph, alphabet = load_dataset("tic-tac-toe")

@@ -13,6 +13,8 @@ input neither compresses.
 
 import random
 
+import pytest
+
 from repro.bench import Report
 from repro.baselines.strrepair import string_repair
 from repro.core.pipeline import compress
@@ -21,6 +23,7 @@ from repro.datasets.strings import repeated_string, string_to_graph
 _SECTION = "Section VI: string graphs vs string RePair (grammar size)"
 
 
+@pytest.mark.smoke
 def test_string_graph_compression(benchmark):
     cases = {
         "(ab)^128": repeated_string("ab", 128),

@@ -1,10 +1,10 @@
 """Benchmark-suite plumbing: report printing, markers, shared fixtures.
 
-The ``smoke`` marker tags the fast subset of each benchmark module —
-small corpora, no timing rounds — so CI can gate merges on
+The ``smoke`` marker tags a fast subset of the paper benches — one
+second or less each — so CI can gate merges on
 ``pytest -m smoke benchmarks`` in seconds while the full paper-table
-suite stays opt-in.  ``scripts/check_bench_regression.py`` runs the
-same smoke corpora against the committed baseline.
+suite stays opt-in.  Performance is measured by ``benchmarks/perf/``
+(see ``BENCHMARK.json``); the modules here reproduce the paper.
 """
 
 from __future__ import annotations

@@ -131,8 +131,8 @@ class CompressedGraph(GraphService):
     once (double-checked under an internal lock), and
     :attr:`canonicalizations` records how many canonicalization passes
     the handle has performed (0 before the first query, 1 ever after —
-    the regression gate in ``scripts/check_bench_regression.py`` holds
-    this at "no more than one per lifetime").
+    ``tests/test_api.py`` holds this at "no more than one per
+    lifetime").
     """
 
     def __init__(self, grammar: SLHRGrammar, *,

@@ -7,21 +7,13 @@ modules share.
 """
 
 from repro.bench.corpora import SMOKE_CORPORA
-from repro.bench.metrics import (
-    CompressionStats,
-    baseline_sizes,
-    bits_per_edge,
-    compression_stats,
-    grepair_bytes,
-)
+from repro.bench.metrics import baseline_sizes, bits_per_edge, grepair_bytes
 from repro.bench.report import Report
 
 __all__ = [
-    "CompressionStats",
     "Report",
     "SMOKE_CORPORA",
     "baseline_sizes",
     "bits_per_edge",
-    "compression_stats",
     "grepair_bytes",
 ]

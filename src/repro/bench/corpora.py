@@ -1,15 +1,12 @@
-"""Benchmark smoke corpora shared by the bench suite and CI tooling.
+"""Smoke corpora shared by the test suite and the bench suite.
 
 One small, seeded instance per dataset family — large enough for the
 engines' behavior to be representative, small enough that the whole
-sweep runs in seconds.  ``benchmarks/bench_incremental_passes.py``
-benchmarks them, ``scripts/check_bench_regression.py`` gates changes
-against ``benchmarks/BENCH_baseline.json`` computed over them, and the
-differential test suite asserts the incremental engine's zero-re-count
-guarantee on every one of them.
+sweep runs in seconds.  The differential test lanes (sharded vs
+unsharded, served vs in-process, every query kind vs networkx on the
+handle's own decompression) run over them.
 
-Keep the definitions stable: the committed baseline encodes their
-expected pass counts and compression ratios.
+Keep the definitions stable: tests pin answers computed over them.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from repro.core.alphabet import Alphabet
 from repro.core.hypergraph import Hypergraph
 from repro.core.pipeline import CompressionResult, GRePairSettings, \
     compress
-from repro.core.repair import CompressionStats
 from repro.encoding import encode_grammar
 
 
@@ -29,24 +28,6 @@ def bits_per_edge(num_bytes: int, num_edges: int) -> float:
     if num_edges <= 0:
         return 0.0
     return 8.0 * num_bytes / num_edges
-
-
-def compression_stats(
-    graph: Hypergraph,
-    alphabet: Alphabet,
-    settings: Optional[GRePairSettings] = None,
-) -> Tuple[CompressionStats, CompressionResult]:
-    """Run gRePair and return the engine's instrumentation counters.
-
-    The counters (counting passes, re-count passes, settle rounds,
-    replacements, queue operations — see
-    :class:`repro.core.repair.CompressionStats`) back the engine
-    regression checks: the incremental engine must report zero
-    ``recount_passes`` on every corpus, and the pass/queue-op budget is
-    tracked against ``benchmarks/BENCH_baseline.json``.
-    """
-    result = compress(graph, alphabet, settings, validate=False)
-    return result.stats_obj, result
 
 
 def grepair_bytes(

@@ -29,11 +29,7 @@ from repro.encoding.container import (
     map_file,
     sharded_container_sections,
 )
-from repro.encoding.k2backend import (
-    get_backend as get_k2_backend,
-    numpy_available,
-    set_backend as set_k2_backend,
-)
+from repro.encoding.k2backend import numpy_available
 from repro.encoding.k2tree import K2Tree
 from repro.encoding.rules import decode_rules, encode_rules
 from repro.encoding.startgraph import decode_start_graph, encode_start_graph
@@ -52,10 +48,8 @@ __all__ = [
     "encode_rules",
     "encode_sharded_container",
     "encode_start_graph",
-    "get_k2_backend",
     "is_sharded_container",
     "map_file",
     "numpy_available",
-    "set_k2_backend",
     "sharded_container_sections",
 ]

@@ -1,93 +1,38 @@
-"""Optional numpy backend for k2-tree rank support.
+"""Rank support for k2-trees, numpy-accelerated when numpy imports.
 
 The k2-tree's only random-access primitive is ``rank1`` over the
 internal-level bit array ``T`` (child navigation is
 ``rank1(i+1) * k^2``), so the whole query surface accelerates through
-one data structure: the rank directory.  Two interchangeable builds:
+one data structure: the rank directory.  :func:`build_rank` picks it
+from the platform:
 
-* ``"python"`` — the original pure-Python directory (prefix 1-counts
-  every 64 bits, O(64) tail scan per query).  Always available.
-* ``"numpy"`` — ``T`` packed MSB-first with ``np.packbits``, a
-  byte-popcount lookup table and one ``np.cumsum`` building a
-  byte-granular prefix directory in a handful of vector ops; ``rank1``
-  is then O(1) (one directory load plus one masked-byte popcount).
+* :class:`NumpyRank` when ``import numpy`` succeeds — ``T`` packed
+  MSB-first with ``np.packbits``, a byte-popcount lookup table and one
+  ``np.cumsum`` building a byte-granular prefix directory in a handful
+  of vector ops; ``rank1`` is then O(1) (one directory load plus one
+  masked-byte popcount).
+* :class:`PythonRank` otherwise — prefix 1-counts every 64 bits, O(64)
+  tail scan per query.  numpy is an accelerator here, never a
+  dependency (``setup.py`` does not require it).
 
-Outputs are bit-identical by construction — the differential tests in
-``tests/test_k2tree.py`` hold both backends to the same answers on the
-same trees, including at exact 64-bit block boundaries.
-
-Selection mirrors :mod:`repro.queries.kernels`: the
-``REPRO_K2_BACKEND`` environment variable (``auto`` / ``numpy`` /
-``python``, default ``auto``) sets the process-wide default,
-:func:`set_backend` switches it programmatically, and trees read the
-default at construction time.  ``auto`` resolves to numpy when the
-import succeeds and silently falls back to pure Python otherwise —
-numpy is an accelerator here, never a dependency (``setup.py`` does not
-require it, and the full suite passes without it).
+Outputs are bit-identical by construction — ``tests/test_k2tree.py``
+holds both to a naive popcount at every position, including exact
+64-bit block boundaries.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Sequence
-
-from repro.exceptions import EncodingError
+from typing import Sequence, Union
 
 try:  # soft dependency: the accelerated path only
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised via set_backend
+except ImportError:  # pragma: no cover - numpy-blocked subprocess lane
     _np = None
-
-BACKENDS = ("auto", "numpy", "python")
-
-_default = os.environ.get("REPRO_K2_BACKEND", "auto")
 
 
 def numpy_available() -> bool:
-    """Whether the numpy backend can be resolved at all."""
+    """Whether :func:`build_rank` builds :class:`NumpyRank`."""
     return _np is not None
-
-
-def validate_backend(name: str) -> str:
-    """Return ``name`` if it names a backend, raise otherwise."""
-    if name not in BACKENDS:
-        raise EncodingError(
-            f"unknown k2 backend {name!r}; expected one of "
-            f"{', '.join(BACKENDS)}")
-    return name
-
-
-def get_backend() -> str:
-    """The configured default backend (possibly ``"auto"``)."""
-    return validate_backend(_default)
-
-
-def set_backend(name: str) -> str:
-    """Set the process-wide default; returns the previous default.
-
-    Affects trees constructed *afterwards* — existing trees keep the
-    rank structure they were built with.
-    """
-    global _default
-    previous = _default
-    _default = validate_backend(name)
-    return previous
-
-
-def resolve_backend(name: Optional[str] = None) -> str:
-    """The concrete backend (``"numpy"`` / ``"python"``) to build with.
-
-    ``None`` takes the process default.  ``auto`` falls back to pure
-    Python when numpy is absent; an *explicit* ``numpy`` request
-    without numpy raises instead of silently degrading.
-    """
-    name = validate_backend(_default if name is None else name)
-    if name == "auto":
-        return "numpy" if _np is not None else "python"
-    if name == "numpy" and _np is None:
-        raise EncodingError(
-            "k2 backend 'numpy' requested but numpy is not installed")
-    return name
 
 
 class PythonRank:
@@ -131,8 +76,6 @@ class NumpyRank:
     __slots__ = ("_packed", "_dir")
 
     def __init__(self, bits: Sequence[bool]) -> None:
-        if _np is None:  # pragma: no cover - guarded by resolve_backend
-            raise EncodingError("numpy backend built without numpy")
         packed = _np.packbits(_np.asarray(bits, dtype=_np.uint8))
         self._packed = packed
         self._dir = _np.concatenate(
@@ -148,8 +91,8 @@ class NumpyRank:
         return count
 
 
-def build_rank(bits: Sequence[bool], backend: Optional[str] = None):
-    """A rank structure over ``bits`` using the resolved backend."""
-    if resolve_backend(backend) == "numpy":
+def build_rank(bits: Sequence[bool]) -> Union[NumpyRank, PythonRank]:
+    """A rank structure over ``bits``: numpy's when numpy imported."""
+    if _np is not None:
         return NumpyRank(bits)
     return PythonRank(bits)

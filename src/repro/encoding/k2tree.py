@@ -20,15 +20,15 @@ compression") for the start graph of the grammar, for the plain
 k2-tree baseline compressor, and (per edge label) for the RDF
 representation of [8].
 
-The rank directory is pluggable (see :mod:`repro.encoding.k2backend`):
-a numpy build packs ``T`` and answers ``rank1`` in O(1) off a cumsum
-directory, the pure-Python build keeps the original 64-bit-block
-directory.  Both are bit-identical; numpy is optional.
+The rank directory comes from :mod:`repro.encoding.k2backend`: when
+numpy imports, ``T`` is packed and ``rank1`` answers in O(1) off a
+cumsum directory; without numpy a pure-Python 64-bit-block directory
+gives the same answers.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.encoding.k2backend import build_rank
 from repro.exceptions import EncodingError
@@ -51,8 +51,7 @@ class K2Tree:
     """
 
     def __init__(self, k: int, size: int, virtual_size: int,
-                 t_bits: List[bool], l_bits: List[bool],
-                 backend: Optional[str] = None) -> None:
+                 t_bits: List[bool], l_bits: List[bool]) -> None:
         if k < 2:
             raise EncodingError(f"k must be >= 2, got {k}")
         self.k = k
@@ -62,17 +61,15 @@ class K2Tree:
         self.virtual_size = virtual_size
         self._t = t_bits
         self._l = l_bits
-        #: Rank support over ``T``; ``backend=None`` takes the process
-        #: default from :mod:`repro.encoding.k2backend`.
-        self._rank = build_rank(t_bits, backend)
+        #: Rank support over ``T``.
+        self._rank = build_rank(t_bits)
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
     def from_cells(cls, cells: Iterable[Tuple[int, int]], size: int,
-                   k: int = 2,
-                   backend: Optional[str] = None) -> "K2Tree":
+                   k: int = 2) -> "K2Tree":
         """Build a k2-tree for the 1-cells of an ``size x size`` matrix.
 
         Cells outside the matrix raise :class:`EncodingError`.  The
@@ -117,7 +114,7 @@ class K2Tree:
                             )
                 current_blocks = next_blocks
                 block //= k
-        return cls(k, size, virtual, t_bits, l_bits, backend=backend)
+        return cls(k, size, virtual, t_bits, l_bits)
 
     # ------------------------------------------------------------------
     # Rank support
@@ -318,12 +315,11 @@ class K2Tree:
 
     @classmethod
     def read(cls, reader: BitReader, k: int, size: int, t_len: int,
-             l_len: int, backend: Optional[str] = None) -> "K2Tree":
+             l_len: int) -> "K2Tree":
         """Read payload bits from an open stream (header known)."""
         t_bits = reader.read_bools(t_len)
         l_bits = reader.read_bools(l_len)
-        return cls(k, size, _next_power(k, max(size, 1)), t_bits,
-                   l_bits, backend=backend)
+        return cls(k, size, _next_power(k, max(size, 1)), t_bits, l_bits)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "K2Tree":

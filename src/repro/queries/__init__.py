@@ -25,7 +25,6 @@ from repro.queries.cache import QueryCache
 from repro.queries.components import ComponentQueries
 from repro.queries.degrees import DegreeQueries
 from repro.queries.index import GrammarIndex, GRepresentation
-from repro.queries.kernels import default_kernel, set_default_kernel
 from repro.queries.neighborhood import NeighborhoodQueries
 from repro.queries.reachability import ReachabilityQueries
 
@@ -38,8 +37,6 @@ __all__ = [
     "NeighborhoodQueries",
     "QueryCache",
     "ReachabilityQueries",
-    "default_kernel",
-    "set_default_kernel",
 ]
 
 

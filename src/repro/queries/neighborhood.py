@@ -17,25 +17,21 @@ parameter selects outgoing (``att = (v, u)``), incoming
 (``att = (u, v)``) or any incidence (which also covers terminal
 hyperedges, should the input contain any).
 
-With the default ``"bitmask"`` traversal kernel (see
-:mod:`repro.queries.kernels`) the recursive descent is *memoized per
-rule*: the terminal targets reachable from ``(label, position,
-direction)`` depend only on the rule structure, never on the instance,
-so they are flattened once into ``(relative edge path, node)`` pairs
-and every later query over any instance of that rule replays the flat
-list (one ``getID`` per neighbor) instead of re-walking the rule
-graphs.  The ``"legacy"`` kernel keeps the original walk as the
-differential oracle.
+The recursive descent is *memoized per rule*: the terminal targets
+reachable from ``(label, position, direction)`` depend only on the
+rule structure, never on the instance, so they are flattened once into
+``(relative edge path, node)`` pairs and every later query over any
+instance of that rule replays the flat list (one ``getID`` per
+neighbor) instead of re-walking the rule graphs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.core.hypergraph import Edge
 from repro.exceptions import QueryError
 from repro.queries.index import GrammarIndex
-from repro.queries.kernels import default_kernel, validate_kernel
 
 
 def _terminal_targets(edge: Edge, position: int,
@@ -58,12 +54,9 @@ def _terminal_targets(edge: Edge, position: int,
 class NeighborhoodQueries:
     """In/out/any neighborhood evaluation on a :class:`GrammarIndex`."""
 
-    def __init__(self, index: GrammarIndex,
-                 kernel: Optional[str] = None) -> None:
+    def __init__(self, index: GrammarIndex) -> None:
         self.index = index
         self.grammar = index.grammar
-        self.kernel = (default_kernel() if kernel is None
-                       else validate_kernel(kernel))
         #: ``(label, position, direction)`` -> flattened descent:
         #: ``((relative edge path, target node), ...)``.
         self._descent_memo: Dict[Tuple[int, int, str],
@@ -142,36 +135,15 @@ class NeighborhoodQueries:
 
         ``path_to_edge`` addresses the nonterminal edge instance (its
         last element is the edge itself); ``position`` is the
-        attachment position of the queried node.  Iterative with an
-        explicit stack (grammar height can be large).
-
-        The bitmask kernel replays the rule's memoized flat target
-        list instead (one walk per ``(label, position, direction)``
-        per handle lifetime); answers are identical.
+        attachment position of the queried node.  Replays the rule's
+        memoized flat target list (one walk per ``(label, position,
+        direction)`` per handle lifetime).
         """
-        if self.kernel == "bitmask":
-            label = self.index.label_of_path(path_to_edge)
-            get_id = self.index.get_id
-            for suffix, node in self._descent_targets(label, position,
-                                                      direction):
-                result.add(get_id(path_to_edge + list(suffix), node))
-            return
-        stack: List[Tuple[List[int], int]] = [(path_to_edge, position)]
-        while stack:
-            path, pos = stack.pop()
-            label = self.index.label_of_path(path)
-            rhs = self.grammar.rhs(label)
-            entry = rhs.ext[pos]
-            for eid in rhs.incident(entry):
-                edge = rhs.edge(eid)
-                local_pos = edge.att.index(entry)
-                if self.grammar.has_rule(edge.label):
-                    stack.append((path + [eid], local_pos))
-                    continue
-                for target in _terminal_targets(edge, local_pos,
-                                                direction):
-                    result.add(self.index.get_id(path,
-                                                 edge.att[target]))
+        label = self.index.label_of_path(path_to_edge)
+        get_id = self.index.get_id
+        for suffix, node in self._descent_targets(label, position,
+                                                  direction):
+            result.add(get_id(path_to_edge + list(suffix), node))
 
     def _descent_targets(self, label: int, position: int,
                          direction: str
@@ -180,8 +152,10 @@ class NeighborhoodQueries:
 
         Instance-independent: the relative edge path is appended to
         the instance's own path and resolved through ``getID``.
-        Nested nonterminals reuse their own memo entries (prefixed),
-        so a rule's flat list is assembled from its children's.
+        Iterative with an explicit stack (grammar height can be
+        large); nested nonterminals reuse their own memo entries
+        (prefixed), so a rule's flat list is assembled from its
+        children's.
         """
         key = (label, position, direction)
         cached = self._descent_memo.get(key)
@@ -217,31 +191,12 @@ class NeighborhoodQueries:
     def _descend_labeled(self, path_to_edge: List[int], position: int,
                          result: Set[Tuple[int, int]]) -> None:
         """``getNeighboring`` keeping labels: (label, target) pairs."""
-        if self.kernel == "bitmask":
-            label = self.index.label_of_path(path_to_edge)
-            get_id = self.index.get_id
-            for suffix, edge_label, node in self._labeled_targets(
-                    label, position):
-                result.add((edge_label,
-                            get_id(path_to_edge + list(suffix), node)))
-            return
-        stack: List[Tuple[List[int], int]] = [(path_to_edge, position)]
-        while stack:
-            path, pos = stack.pop()
-            label = self.index.label_of_path(path)
-            rhs = self.grammar.rhs(label)
-            entry = rhs.ext[pos]
-            for eid in rhs.incident(entry):
-                edge = rhs.edge(eid)
-                for local_pos, node in enumerate(edge.att):
-                    if node != entry:
-                        continue
-                    if self.grammar.has_rule(edge.label):
-                        stack.append((path + [eid], local_pos))
-                    elif len(edge.att) == 2 and local_pos == 0:
-                        result.add(
-                            (edge.label,
-                             self.index.get_id(path, edge.att[1])))
+        label = self.index.label_of_path(path_to_edge)
+        get_id = self.index.get_id
+        for suffix, edge_label, node in self._labeled_targets(label,
+                                                              position):
+            result.add((edge_label,
+                        get_id(path_to_edge + list(suffix), node)))
 
     def _labeled_targets(self, label: int, position: int
                          ) -> Tuple[Tuple[Tuple[int, ...], int, int],

@@ -31,80 +31,21 @@ visited a constant number of times, so a query costs ``O(|G|)`` —
 a speed-up proportional to the compression ratio, since BFS on the
 decompressed graph costs ``O(|val(G)|)``.
 
-Two kernels implement the searches (see :mod:`repro.queries.kernels`):
-
-* ``"bitmask"`` (default) — every distinct host graph (the start graph
-  plus one right-hand side per rule) gets its skeleton-expanded
-  adjacency precomputed **once per handle** as integer bit-rows; the
-  ``E_i``/``F_i`` level sets and every BFS wave are then AND/OR word
-  operations.  A query touches no dict-of-lists construction at all.
-* ``"legacy"`` — the original per-query adjacency-dict build and
-  set-based BFS, kept as the differential oracle and the baseline the
-  bench-regression kernel gate measures against.
+Every distinct host graph (the start graph plus one right-hand side
+per rule) gets its skeleton-expanded adjacency precomputed **once per
+handle** as integer bit-rows (one arbitrary-precision int per node,
+bit ``j`` set when node ``j`` is a direct successor); the
+``E_i``/``F_i`` level sets and every BFS wave are then AND/OR word
+operations, so a query builds no per-query adjacency at all.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, \
-    Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.hypergraph import Hypergraph
 from repro.exceptions import QueryError
 from repro.queries.index import GrammarIndex
-from repro.queries.kernels import default_kernel, validate_kernel
-
-
-def _expanded_adjacency(
-    host: Hypergraph,
-    grammar,
-    skeletons: Dict[int, FrozenSet[Tuple[int, int]]],
-    reverse: bool = False,
-) -> Dict[int, List[int]]:
-    """Digraph over ``host``'s nodes with nonterminals expanded.
-
-    Terminal rank-2 edges contribute their direction; nonterminal
-    edges contribute one arc per pair of their skeleton relation.
-    Terminal edges of other ranks are rejected: reachability is defined
-    on simple graphs (paper section V).
-    """
-    adjacency: Dict[int, List[int]] = {node: [] for node in host.nodes()}
-    for _, edge in host.edges():
-        if grammar.has_rule(edge.label):
-            for i, j in skeletons[edge.label]:
-                src, dst = edge.att[i], edge.att[j]
-                if reverse:
-                    src, dst = dst, src
-                adjacency[src].append(dst)
-            continue
-        if len(edge.att) != 2:
-            raise QueryError(
-                "reachability requires a simple derived graph; found a "
-                f"terminal edge of rank {len(edge.att)}"
-            )
-        src, dst = edge.att
-        if reverse:
-            src, dst = dst, src
-        adjacency[src].append(dst)
-    return adjacency
-
-
-def _search(adjacency: Dict[int, List[int]],
-            sources: Iterable[int]) -> Set[int]:
-    """Nodes reachable from ``sources`` (inclusive) via BFS."""
-    seen: Set[int] = set()
-    queue = deque()
-    for source in sources:
-        if source not in seen:
-            seen.add(source)
-            queue.append(source)
-    while queue:
-        node = queue.popleft()
-        for succ in adjacency.get(node, ()):
-            if succ not in seen:
-                seen.add(succ)
-                queue.append(succ)
-    return seen
 
 
 class _HostMasks:
@@ -174,20 +115,11 @@ def _search_bits(rows: List[int], frontier: int) -> int:
 
 
 class ReachabilityQueries:
-    """(s,t)-reachability on a :class:`GrammarIndex`.
+    """(s,t)-reachability on a :class:`GrammarIndex`."""
 
-    ``kernel`` selects the traversal implementation (``"bitmask"`` /
-    ``"legacy"``); ``None`` takes the process default from
-    :mod:`repro.queries.kernels`.  Answers are identical either way —
-    the differential suite holds that line.
-    """
-
-    def __init__(self, index: GrammarIndex,
-                 kernel: Optional[str] = None) -> None:
+    def __init__(self, index: GrammarIndex) -> None:
         self.index = index
         self.grammar = index.grammar
-        self.kernel = (default_kernel() if kernel is None
-                       else validate_kernel(kernel))
         #: Per-host bit-row cache: ``None`` keys the start graph, a
         #: nonterminal label keys its right-hand side.  Rule hosts are
         #: populated eagerly by the skeleton pass (they are needed
@@ -210,26 +142,15 @@ class ReachabilityQueries:
         return masks
 
     def _compute_skeletons(self) -> None:
-        bitmask = self.kernel == "bitmask"
         for lhs in self.grammar.bottom_up_order():
-            rhs = self.grammar.rhs(lhs)
             pairs: Set[Tuple[int, int]] = set()
-            if bitmask:
-                masks = self._masks_for(lhs)
-                ext_bits = masks.ext_bits
-                for i, bit in enumerate(ext_bits):
-                    reached = self._reach_bits(masks, False, 1 << bit)
-                    for j, other in enumerate(ext_bits):
-                        if i != j and reached >> other & 1:
-                            pairs.add((i, j))
-            else:
-                adjacency = _expanded_adjacency(rhs, self.grammar,
-                                                self._skeletons)
-                for i, ext_node in enumerate(rhs.ext):
-                    reached = _search(adjacency, [ext_node])
-                    for j, other in enumerate(rhs.ext):
-                        if i != j and other in reached:
-                            pairs.add((i, j))
+            masks = self._masks_for(lhs)
+            ext_bits = masks.ext_bits
+            for i, bit in enumerate(ext_bits):
+                reached = self._reach_bits(masks, False, 1 << bit)
+                for j, other in enumerate(ext_bits):
+                    if i != j and reached >> other & 1:
+                        pairs.add((i, j))
             self._skeletons[lhs] = frozenset(pairs)
 
     def skeleton(self, lhs: int) -> FrozenSet[Tuple[int, int]]:
@@ -256,23 +177,25 @@ class ReachabilityQueries:
                 break
             common += 1
 
-        if self.kernel == "bitmask":
-            return self._reachable_bits(source_rep, target_rep, common)
-
-        source_sets = self._lift(source_rep, reverse=False)
-        target_sets = self._lift(target_rep, reverse=True)
-
-        # Check every shared host from the divergence point up to S.
+        source_labels = self._labels_along(source_rep.edges)
+        target_labels = self._labels_along(target_rep.edges)
+        source_sets = self._lift_bits(source_rep, source_labels,
+                                      reverse=False)
+        target_sets = self._lift_bits(target_rep, target_labels,
+                                      reverse=True)
+        # Check every shared host from the divergence point up to S;
+        # the shared prefix means shared hosts (hence one bit space)
+        # per level.
         for level in range(common, -1, -1):
-            host = self._host_at(source_rep.edges, level)
-            adjacency = _expanded_adjacency(host, self.grammar,
-                                            self._skeletons)
-            reached = _search(adjacency, source_sets[level])
-            if reached & set(target_sets[level]):
+            masks = self._masks_for(source_labels[level])
+            reached = self._reach_bits(masks, False, source_sets[level])
+            if reached & target_sets[level]:
                 return True
         return False
 
-    # -- bitmask kernel -------------------------------------------------
+    # ------------------------------------------------------------------
+    # Bit-row searches
+    # ------------------------------------------------------------------
     @staticmethod
     def _reach_bits(masks: _HostMasks, reverse: bool,
                     frontier: int) -> int:
@@ -283,8 +206,7 @@ class ReachabilityQueries:
         first search from each bit.  Reachability is union-
         decomposable, so the OR equals one BFS from the whole
         frontier — but across a batch every host pays each source bit
-        at most once, which is where the ≥5x batch speed-up over the
-        per-query set kernel comes from.
+        at most once.
         """
         cache = masks.closure_rev if reverse else masks.closure_fwd
         rows = masks.rev if reverse else masks.fwd
@@ -311,31 +233,14 @@ class ReachabilityQueries:
             host = self.grammar.rhs(label)
         return labels
 
-    def _reachable_bits(self, source_rep, target_rep,
-                        common: int) -> bool:
-        source_labels = self._labels_along(source_rep.edges)
-        target_labels = self._labels_along(target_rep.edges)
-        source_sets = self._lift_bits(source_rep, source_labels,
-                                      reverse=False)
-        target_sets = self._lift_bits(target_rep, target_labels,
-                                      reverse=True)
-        # The shared prefix means shared hosts (hence one bit space)
-        # per level up to the divergence point.
-        for level in range(common, -1, -1):
-            masks = self._masks_for(source_labels[level])
-            reached = self._reach_bits(masks, False, source_sets[level])
-            if reached & target_sets[level]:
-                return True
-        return False
-
     def _lift_bits(self, rep, labels: Sequence[Optional[int]],
                    reverse: bool) -> List[int]:
         """Per-level bitmasks of exits (or entries, reversed).
 
-        The bitmask twin of :meth:`_lift`: ``result[level]`` is a mask
-        in the level host's bit space, holding the nodes from which
-        the represented node is reachable (``reverse=True``) or which
-        are reachable from it (``reverse=False``) through the subtree
+        ``result[level]`` is a mask in the bit space of the host at
+        depth ``level`` (depth 0 = S), holding the nodes from which the
+        represented node is reachable (``reverse=True``) or which are
+        reachable from it (``reverse=False``) through the subtree
         below.
         """
         edges = rep.edges
@@ -353,37 +258,4 @@ class ReachabilityQueries:
                     lifted |= 1 << parent.bit_of[attachment[position]]
             sets[level - 1] = lifted
             masks = parent
-        return sets
-
-    # -- legacy kernel --------------------------------------------------
-    def _host_at(self, edges: Sequence[int], level: int) -> Hypergraph:
-        """Host graph at depth ``level`` along an edge path."""
-        return self.index._host_for(edges[:level])
-
-    def _lift(self, rep, reverse: bool) -> List[Set[int]]:
-        """Per-level node sets of exits (or entries, reversed).
-
-        ``result[level]`` holds nodes of the host at depth ``level``
-        from which the represented node is reachable (``reverse=True``)
-        or which are reachable from it (``reverse=False``) through the
-        subtree below; one entry per host on the path (depth 0 = S).
-        """
-        edges = rep.edges
-        depth = len(edges)
-        sets: List[Set[int]] = [set() for _ in range(depth + 1)]
-        sets[depth] = {rep.node}
-        for level in range(depth, 0, -1):
-            host = self._host_at(edges, level)
-            adjacency = _expanded_adjacency(host, self.grammar,
-                                            self._skeletons,
-                                            reverse=reverse)
-            reached = _search(adjacency, sets[level])
-            parent_edge_id = edges[level - 1]
-            parent_host = self._host_at(edges, level - 1)
-            attachment = parent_host.edge(parent_edge_id).att
-            sets[level - 1] = {
-                attachment[position]
-                for position, ext_node in enumerate(host.ext)
-                if ext_node in reached
-            }
         return sets

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from collections import deque
+from typing import Tuple
 
 import networkx as nx
 from networkx.algorithms.isomorphism import categorical_multiedge_match
@@ -127,6 +128,41 @@ def star_graph(spokes: int = 50) -> Tuple[Hypergraph, Alphabet]:
     return graph, alphabet
 
 
+def truth_graph(handle):
+    """networkx multidigraph of the handle's own ``val``, with label
+    *names* on the edges (the ID space its answers live in)."""
+    alphabet = handle.alphabet
+    graph = to_networkx(handle.decompress())
+    named = nx.MultiDiGraph()
+    named.add_nodes_from(graph.nodes())
+    for source, target, data in graph.edges(data=True):
+        named.add_edge(source, target, name=alphabet.name(data["label"]))
+    return named
+
+
+def truth_rpq(graph, dfa, source, target,
+              start=None, accepting=None):
+    """Naive product-automaton BFS over a networkx truth graph."""
+    start = dfa.start if start is None else start
+    accepting = dfa.accepting if accepting is None else accepting
+    if source == target and start in accepting:
+        return True
+    seen = {(source, start)}
+    frontier = deque(seen)
+    while frontier:
+        node, state = frontier.popleft()
+        if node not in graph:
+            continue
+        for _, successor, data in graph.out_edges(node, data=True):
+            next_state = dfa.step_name(state, data["name"])
+            if next_state is None:
+                continue
+            if successor == target and next_state in accepting:
+                return True
+            if (successor, next_state) not in seen:
+                seen.add((successor, next_state))
+                frontier.append((successor, next_state))
+    return False
 
 
 def exploding_build(*args, **kwargs):  # pragma: no cover

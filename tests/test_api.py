@@ -58,6 +58,11 @@ class TestRoundTrip:
         graph, alphabet = SMOKE_CORPORA[name]()
         handle = CompressedGraph.compress(graph, alphabet,
                                           validate=False)
+        # The incremental engine seeds each phase (main loop, then
+        # virtual edges) with one counting pass and never re-counts.
+        phases = 2 if handle.stats["virtual_edges_added"] else 1
+        assert handle.stats["recount_passes"] == 0
+        assert handle.stats["passes"] == phases
         path = tmp_path / f"{name}.grpr"
         handle.save(path, include_names=False)
         reopened = CompressedGraph.open(path)

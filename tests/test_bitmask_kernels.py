@@ -1,62 +1,40 @@
-"""Differential lane: bitmask traversal kernels ≡ legacy sets.
+"""Truth lane: the bitmask traversal kernels ≡ networkx on ``val``.
 
-The ``"bitmask"`` kernel (precomputed integer bit-row adjacency, wave
-BFS by word ops, memoized rule descents — see
-:mod:`repro.queries.kernels`) must answer every frontier query
-*bit-identically* to the original ``"legacy"`` dict/set evaluation.
-This lane holds that line on all smoke corpora, unsharded and through
-2- and 4-shard containers, across every frontier query kind:
-reachability, neighborhoods, paths (BFS distances + shortest path) and
-the RPQ product-automaton BFS fallback (which steps on the memoized
-labeled descent).
-
-Kernel selection is process-global and read at construction time, so
-each handle pair is built under an explicitly pinned default.
+The query evaluators answer every frontier query through precomputed
+integer bit-row adjacency, wave BFS by word ops and memoized rule
+descents.  This lane holds their answers to an independent oracle —
+networkx over the handle's own ``decompress()`` — on all smoke
+corpora, unsharded and through 2- and 4-shard containers, across every
+frontier query kind: reachability, neighborhoods, paths (BFS distances
++ shortest path) and the RPQ product-automaton BFS fallback (which
+steps on the memoized labeled descent).
 """
 
 import random
 
+import networkx as nx
 import pytest
 
 from repro.api import CompressedGraph
 from repro.bench import SMOKE_CORPORA
-from repro.queries import set_default_kernel
-from repro.queries.kernels import default_kernel
 from repro.queries.traversal import bfs_distances, shortest_path
+from repro.rpq import compile_pattern
 from repro.sharding import ShardedCompressedGraph
 
-
-def _pinned(kernel, build):
-    """Run ``build`` with the process-default kernel pinned."""
-    previous = set_default_kernel(kernel)
-    try:
-        return build()
-    finally:
-        set_default_kernel(previous)
+from helpers import truth_graph, truth_rpq
 
 
-def _handle_pair(name):
-    """(legacy, bitmask) unsharded handles over one grammar."""
+def _unsharded(name):
     graph, alphabet = SMOKE_CORPORA[name]()
-    base = CompressedGraph.compress(graph, alphabet)
-    legacy = _pinned("legacy",
-                     lambda: CompressedGraph.from_grammar(base.grammar))
-    bitmask = _pinned("bitmask",
-                      lambda: CompressedGraph.from_grammar(base.grammar))
-    return legacy, bitmask
+    return CompressedGraph.compress(graph, alphabet)
 
 
-def _sharded_pair(name, shards):
-    """(legacy, bitmask) sharded handles over one container."""
+def _sharded(name, shards):
     graph, alphabet = SMOKE_CORPORA[name]()
-    blob = _pinned("legacy", lambda: ShardedCompressedGraph.compress(
+    blob = ShardedCompressedGraph.compress(
         graph, alphabet, shards=shards, partitioner="bfs",
-        validate=False)).to_bytes()
-    legacy = _pinned("legacy",
-                     lambda: ShardedCompressedGraph.from_bytes(blob))
-    bitmask = _pinned("bitmask",
-                      lambda: ShardedCompressedGraph.from_bytes(blob))
-    return legacy, bitmask
+        validate=False).to_bytes()
+    return ShardedCompressedGraph.from_bytes(blob)
 
 
 def _probe_pairs(total, count, seed=7):
@@ -83,88 +61,89 @@ def _first_label_name(handle):
     return None
 
 
-def _assert_frontier_queries_agree(legacy, bitmask, pair_count,
+def _has_path(truth, source, target):
+    if source == target:
+        return True
+    if source not in truth or target not in truth:
+        return False
+    return nx.has_path(truth, source, target)
+
+
+def _assert_frontier_queries_match(handle, truth, pair_count,
                                    node_count):
-    total = legacy.node_count()
-    assert bitmask.node_count() == total
+    total = handle.node_count()
+    assert total == truth.number_of_nodes()
     for source, target in _probe_pairs(total, pair_count):
-        assert legacy.reachable(source, target) == \
-            bitmask.reachable(source, target), (source, target)
+        assert handle.reachable(source, target) == \
+            _has_path(truth, source, target), (source, target)
     for node in _probe_nodes(total, node_count):
-        assert legacy.out_neighbors(node) == bitmask.out_neighbors(node)
-        assert legacy.in_neighbors(node) == bitmask.in_neighbors(node)
-        assert legacy.neighbors(node) == bitmask.neighbors(node)
+        succ = set(truth.successors(node)) - {node}
+        pred = set(truth.predecessors(node)) - {node}
+        assert handle.out_neighbors(node) == sorted(succ), node
+        assert handle.in_neighbors(node) == sorted(pred), node
+        assert handle.neighbors(node) == sorted(succ | pred), node
 
 
-def _assert_paths_agree(legacy, bitmask, pair_count):
-    total = legacy.node_count()
-    sources = _probe_nodes(total, 3, seed=5)
-    for source in sources:
-        assert bfs_distances(legacy, source) == \
-            bfs_distances(bitmask, source)
+def _assert_paths_match(handle, truth, pair_count):
+    total = handle.node_count()
+    for source in _probe_nodes(total, 3, seed=5):
+        assert bfs_distances(handle, source) == \
+            nx.single_source_shortest_path_length(truth, source), source
     for source, target in _probe_pairs(total, pair_count, seed=13):
-        path_legacy = shortest_path(legacy, source, target)
-        path_bitmask = shortest_path(bitmask, source, target)
-        # BFS over sorted neighbor lists is deterministic, so the
-        # actual paths match, not just their lengths.
-        assert path_legacy == path_bitmask, (source, target)
+        path = shortest_path(handle, source, target)
+        if not _has_path(truth, source, target):
+            assert path is None, (source, target)
+            continue
+        assert path[0] == source and path[-1] == target, path
+        assert len(path) - 1 == \
+            nx.shortest_path_length(truth, source, target), path
+        for hop in zip(path, path[1:]):
+            assert truth.has_edge(*hop), (path, hop)
+
+
+def _assert_rpq_bfs_matches(handle, truth, engines, pair_count):
+    """Pin the product-BFS fallback on ``engines``; check ``<a>+``."""
+    label = _first_label_name(handle)
+    if label is None:
+        return False
+    for engine in engines:
+        engine.force = "bfs"
+    pattern = f"<{label}>+"
+    dfa = compile_pattern(pattern)
+    for source, target in _probe_pairs(handle.node_count(), pair_count,
+                                       seed=3):
+        assert handle.rpq(pattern, source, target) == \
+            truth_rpq(truth, dfa, source, target), (source, target)
+    return True
 
 
 @pytest.mark.parametrize("name", sorted(SMOKE_CORPORA))
 def test_unsharded_kernels_agree(name):
-    legacy, bitmask = _handle_pair(name)
-    _assert_frontier_queries_agree(legacy, bitmask,
+    handle = _unsharded(name)
+    truth = truth_graph(handle)
+    _assert_frontier_queries_match(handle, truth,
                                    pair_count=40, node_count=30)
-    _assert_paths_agree(legacy, bitmask, pair_count=8)
+    _assert_paths_match(handle, truth, pair_count=8)
 
 
 @pytest.mark.parametrize("name", sorted(SMOKE_CORPORA))
 def test_unsharded_rpq_product_bfs_agrees(name):
-    legacy, bitmask = _handle_pair(name)
-    label = _first_label_name(legacy)
-    if label is None:
+    handle = _unsharded(name)
+    if not _assert_rpq_bfs_matches(handle, truth_graph(handle),
+                                   [handle._rpq_engine()], 15):
         pytest.skip("corpus has no named labels")
-    # Pin the BFS fallback on both engines: it steps the product
-    # automaton on ``out_edges``, the labeled memoized descent.
-    legacy._rpq_engine().force = "bfs"
-    bitmask._rpq_engine().force = "bfs"
-    pattern = f"<{label}>+"
-    total = legacy.node_count()
-    for source, target in _probe_pairs(total, 15, seed=3):
-        assert legacy.rpq(pattern, source, target) == \
-            bitmask.rpq(pattern, source, target), (source, target)
 
 
 @pytest.mark.parametrize("shards", [2, 4])
 @pytest.mark.parametrize("name", sorted(SMOKE_CORPORA))
 def test_sharded_kernels_agree(name, shards):
-    legacy, bitmask = _sharded_pair(name, shards)
-    _assert_frontier_queries_agree(legacy, bitmask,
+    handle = _sharded(name, shards)
+    truth = truth_graph(handle)
+    _assert_frontier_queries_match(handle, truth,
                                    pair_count=12, node_count=8)
-    _assert_paths_agree(legacy, bitmask, pair_count=3)
-    label = _first_label_name(legacy)
-    if label is None:
-        return
+    _assert_paths_match(handle, truth, pair_count=3)
     # In-shard RPQ engines pinned to the product-BFS fallback; the
-    # cross-shard route is whatever the planner picks on both sides.
-    for shard in legacy.shards:
-        shard._rpq_engine().force = "bfs"
-    for shard in bitmask.shards:
-        shard._rpq_engine().force = "bfs"
-    pattern = f"<{label}>+"
-    total = legacy.node_count()
-    for source, target in _probe_pairs(total, 5, seed=3):
-        assert legacy.rpq(pattern, source, target) == \
-            bitmask.rpq(pattern, source, target), (source, target)
-
-
-def test_default_kernel_roundtrip():
-    previous = set_default_kernel("legacy")
-    try:
-        assert default_kernel() == "legacy"
-        set_default_kernel("bitmask")
-        assert default_kernel() == "bitmask"
-    finally:
-        set_default_kernel(previous)
-    with pytest.raises(Exception, match="unknown traversal kernel"):
-        set_default_kernel("simd")
+    # cross-shard route is whatever the planner picks.
+    _assert_rpq_bfs_matches(
+        handle, truth, [shard._rpq_engine() for shard in handle.shards],
+        5)

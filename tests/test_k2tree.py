@@ -130,84 +130,76 @@ def test_random_matrix_roundtrip(seed, k):
 
 
 # ----------------------------------------------------------------------
-# Rank backends (pure Python vs optional numpy)
+# Rank structures (pure Python, and numpy when it imports)
 # ----------------------------------------------------------------------
-def _backends():
-    from repro.encoding.k2backend import numpy_available
-    return ("python", "numpy") if numpy_available() else ("python",)
+def _rank_classes():
+    from repro.encoding.k2backend import NumpyRank, PythonRank, \
+        numpy_available
+    classes = {"python": PythonRank}
+    if numpy_available():
+        classes["numpy"] = NumpyRank
+    return classes
 
 
-@pytest.mark.parametrize("backend", _backends())
+def _assert_rank_matches_popcount(rank_class, bits):
+    rank = rank_class(bits)
+    naive = 0
+    for position, bit in enumerate(bits):
+        assert rank.rank1(position) == naive, (rank_class, position)
+        naive += 1 if bit else 0
+    assert rank.rank1(len(bits)) == naive
+
+
+@pytest.mark.parametrize("backend", sorted(_rank_classes()))
 @settings(max_examples=60)
 @given(st.integers(0, 10_000))
 def test_rank_directory_block_boundaries(backend, seed):
-    """``_rank1`` ≡ naive popcount, pinned at exact 64-bit multiples.
+    """``rank1`` ≡ naive popcount at every position of real ``T`` arrays.
 
     The directory is block-structured (64-bit blocks in pure Python, a
-    byte-cumsum in numpy), so the property probes every position of
-    small trees *and* the exact block-multiple positions of trees whose
-    ``T`` spans several blocks — the off-by-one surface of any prefix
-    directory.
+    byte-cumsum in numpy), so every position includes every exact
+    block multiple and its neighbours — the off-by-one surface of any
+    prefix directory.
     """
     rng = random.Random(seed)
     size = rng.randint(1, 80)
     count = rng.randint(0, size * size // 2)
     cells = {(rng.randrange(size), rng.randrange(size))
              for _ in range(count)}
-    tree = K2Tree.from_cells(cells, size, backend=backend)
-    bits = tree._t
-    prefix = [0]
-    for bit in bits:
-        prefix.append(prefix[-1] + (1 if bit else 0))
-    positions = set(range(min(len(bits), 200) + 1))
-    positions.update(range(0, len(bits) + 1, 64))
-    positions.update(boundary + delta
-                     for boundary in range(0, len(bits) + 1, 64)
-                     for delta in (-1, 1)
-                     if 0 <= boundary + delta <= len(bits))
-    positions.add(len(bits))
-    for position in sorted(positions):
-        assert tree._rank1(position) == prefix[position], \
-            (backend, position)
+    tree = K2Tree.from_cells(cells, size)
+    _assert_rank_matches_popcount(_rank_classes()[backend], tree._t)
 
 
-@pytest.mark.parametrize("backend", _backends())
+@pytest.mark.parametrize("backend", sorted(_rank_classes()))
 def test_rank_directory_at_exact_block_multiples(backend):
-    """A T array of exactly N*64 bits: ranks at 0, 64, ..., N*64."""
+    """Bit arrays of exactly N*64 bits (and one either side)."""
     rng = random.Random(99)
-    # Dense enough that T grows well past several 64-bit blocks.
+    for blocks in (1, 2, 5):
+        for length in (blocks * 64 - 1, blocks * 64, blocks * 64 + 1):
+            bits = [rng.random() < 0.5 for _ in range(length)]
+            _assert_rank_matches_popcount(_rank_classes()[backend], bits)
+    # And a real tree whose T spans several blocks.
     size = 128
     cells = {(rng.randrange(size), rng.randrange(size))
              for _ in range(size * size // 3)}
-    tree = K2Tree.from_cells(cells, size, backend=backend)
+    tree = K2Tree.from_cells(cells, size)
     assert len(tree._t) >= 256, "tree too small to cross blocks"
-    naive = 0
-    checked = 0
-    for position, bit in enumerate(tree._t):
-        if position % 64 == 0:
-            assert tree._rank1(position) == naive, position
-            checked += 1
-        naive += 1 if bit else 0
-    assert tree._rank1(len(tree._t)) == naive
-    assert checked >= 4
+    _assert_rank_matches_popcount(_rank_classes()[backend], tree._t)
 
 
 def test_backend_selection_and_fallback():
+    """``build_rank`` picks numpy's directory exactly when numpy
+    imported; the numpy-blocked fallback runs in ``test_optional_numpy``.
+    """
     from repro.encoding import k2backend
 
-    with pytest.raises(EncodingError, match="unknown k2 backend"):
-        k2backend.set_backend("fortran")
-    previous = k2backend.set_backend("python")
     try:
-        tree = K2Tree.from_cells([(1, 2), (3, 0)], size=4)
-        assert type(tree._rank).__name__ == "PythonRank"
-        if k2backend.numpy_available():
-            k2backend.set_backend("numpy")
-            tree = K2Tree.from_cells([(1, 2), (3, 0)], size=4)
-            assert type(tree._rank).__name__ == "NumpyRank"
-        else:
-            with pytest.raises(EncodingError, match="numpy"):
-                k2backend.resolve_backend("numpy")
-            assert k2backend.resolve_backend("auto") == "python"
-    finally:
-        k2backend.set_backend(previous)
+        import numpy  # noqa: F401
+        imported = True
+    except ImportError:
+        imported = False
+    assert k2backend.numpy_available() is imported
+    expected = k2backend.NumpyRank if imported else k2backend.PythonRank
+    assert type(k2backend.build_rank([True, False])) is expected
+    tree = K2Tree.from_cells([(1, 2), (3, 0)], size=4)
+    assert type(tree._rank) is expected

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import random
 import re
-from collections import deque
 
-import networkx as nx
 import pytest
 
 from repro import CompressedGraph, ShardedCompressedGraph
@@ -44,7 +42,7 @@ from repro.rpq.regex import PatternDFA
 from repro.serving import GraphServer
 from repro.serving.protocol import QueryKind, QueryRequest
 
-from helpers import exploding_build, to_networkx
+from helpers import exploding_build, truth_graph, truth_rpq
 
 #: Pattern templates instantiated with each corpus's label names
 #: (``{a}`` = first name, ``{z}`` = last name).
@@ -65,43 +63,6 @@ def corpus_patterns(names):
 
 def label_names(alphabet):
     return [alphabet.name(label) for label in alphabet.terminals()]
-
-
-def truth_graph(handle):
-    """networkx multidigraph of the handle's own ``val``, with label
-    *names* on the edges (the ID space its answers live in)."""
-    alphabet = handle.alphabet
-    graph = to_networkx(handle.decompress())
-    named = nx.MultiDiGraph()
-    named.add_nodes_from(graph.nodes())
-    for source, target, data in graph.edges(data=True):
-        named.add_edge(source, target, name=alphabet.name(data["label"]))
-    return named
-
-
-def truth_rpq(graph, dfa, source, target,
-              start=None, accepting=None):
-    """Naive product-automaton BFS over a networkx truth graph."""
-    start = dfa.start if start is None else start
-    accepting = dfa.accepting if accepting is None else accepting
-    if source == target and start in accepting:
-        return True
-    seen = {(source, start)}
-    frontier = deque(seen)
-    while frontier:
-        node, state = frontier.popleft()
-        if node not in graph:
-            continue
-        for _, successor, data in graph.out_edges(node, data=True):
-            next_state = dfa.step_name(state, data["name"])
-            if next_state is None:
-                continue
-            if successor == target and next_state in accepting:
-                return True
-            if (successor, next_state) not in seen:
-                seen.add((successor, next_state))
-                frontier.append((successor, next_state))
-    return False
 
 
 def probe_pairs(total_nodes, count=40, seed=7):
@@ -249,6 +210,10 @@ class TestEngineDifferential:
                 assert handle.rpq(pattern, source, target) == \
                     truth_rpq(graph, dfa, source, target), \
                     (corpus, pattern, source, target)
+        # No DFA's skeletons were built twice, however many probes it
+        # answered (a corpus the cost gate sends to BFS builds none).
+        info = handle.rpq_info
+        assert info["skeleton_builds"] == info["cached_dfas"]
 
     @pytest.mark.smoke
     def test_state_to_state_probes(self, flat):

@@ -189,6 +189,25 @@ class TestRoundtrip:
                 encode_sharded_container(container.meta,
                                          container.shards[:1]))
 
+    def test_cold_open_materializes_only_the_served_shard(self, tmp_path):
+        """A one-shard host copies its shard blob and nothing else."""
+        from repro.serving.router import ShardHost
+
+        graph, alphabet = SMOKE_CORPORA["communication"]()
+        path = tmp_path / "cold.grps"
+        ShardedCompressedGraph.compress(
+            graph, alphabet, shards=4, partitioner="bfs",
+            validate=False).save(path)
+        host = ShardHost(path, shard=1).start()
+        try:
+            container = host.container
+            assert container.materialized_sections == {
+                "shard1": len(container.shard(1))}
+            assert container.materialized_bytes < \
+                0.30 * container.total_bytes
+        finally:
+            host.close()
+
     def test_bits_per_edge(self):
         handle = _sharded_handle()
         bpe = handle.bits_per_edge()
