@@ -13,8 +13,10 @@ as a delta-coded edge list.
 
 The front door is :class:`repro.CompressedGraph` — a long-lived,
 thread-safe handle the way production stores expose one ``DB`` object.
-The older free functions (``compress``, ``GrammarQueries``, ``derive``)
-still work as compatibility shims delegating to the facade.
+Every query has one spelling (``out``, ``in_``, ``reach``,
+``components``, ...), shared by the sharded handle and the socket
+client.  The older free functions (``compress``, ``derive``) still
+work as compatibility shims delegating to the facade.
 
 Run:  python examples/quickstart.py
 """

@@ -56,9 +56,6 @@ Compatibility shims (predating the facade, delegating to it)
 ------------------------------------------------------------
 ``compress``
     Run the compressor and return only the ``CompressionResult``.
-``GrammarQueries``
-    Per-grammar query object; each construction canonicalizes anew —
-    the facade's cached index supersedes it.
 ``derive`` / ``StreamingCompressor`` / ``encode_grammar`` /
 ``decode_grammar``
     The underlying building blocks, still exported for direct use.

@@ -15,9 +15,11 @@ bag of free functions:
   reports per-section byte accounting either way.
 * **derive** — :meth:`CompressedGraph.decompress` expands ``val(G)``
   with the deterministic node numbering the queries use.
-* **query** — the full section-V family (``reach``, ``out``, ``in_``,
-  ``neighborhood``, ``components``, ``degree``, ``path``) plus the
-  legacy ``GrammarQueries`` spellings, evaluated against one lazily
+* **query** — the full section-V family (``out``, ``in_``,
+  ``neighborhood``, ``out_edges``, ``degree``, ``reach``, ``path``,
+  ``components``, ``node_count``, ``edge_count``, ``rpq``,
+  ``pattern_count``; each spelled once, on
+  :class:`repro.serving.GraphService`), evaluated against one lazily
   built, cached, **thread-safe** index: the grammar is canonicalized at
   most once per handle lifetime (guarded by a lock), no matter how many
   queries run or from how many threads.
@@ -28,7 +30,7 @@ bag of free functions:
   alone instead of aborting the batch) behind a pluggable
   :class:`~repro.serving.Executor` — inline, thread pool, forked
   process pool, or a socket round-trip to :func:`repro.serving.serve`.
-  :meth:`batch` stays the legacy thin adapter over the same machinery:
+  :meth:`batch` is the thin adapter over the same machinery:
   plain values, request order, first error raised;
   ``batch(..., parallel=True)`` plans the batch first (deduplicates
   repeated requests, pre-filters the LRU and fans the unique misses
@@ -44,15 +46,15 @@ input across per-shard ``CompressedGraph`` handles and routes/merges
 queries.
 
 The older entry points (:func:`repro.core.pipeline.compress`,
-:class:`repro.queries.GrammarQueries`, :func:`repro.core.derive`)
-remain as compatibility shims delegating to this facade.
+:func:`repro.core.derive`) remain as compatibility shims delegating to
+this facade.
 """
 
 from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.core.alphabet import Alphabet
 from repro.core.derivation import derive as _derive
@@ -78,14 +80,7 @@ from repro.queries.neighborhood import NeighborhoodQueries
 from repro.queries.reachability import ReachabilityQueries
 from repro.rpq.counts import PatternCounts
 from repro.rpq.engine import PatternEngine
-from repro.rpq.regex import cache_key as _rpq_cache_key
-from repro.serving.executors import Executor, InlineExecutor, ThreadExecutor
-from repro.serving.protocol import (
-    KIND_ALIASES,
-    KIND_METHODS,
-    GraphService,
-    QueryKind,
-)
+from repro.serving.protocol import GraphService
 
 __all__ = ["CompressedGraph", "DEFAULT_CACHE_SIZE"]
 
@@ -451,51 +446,7 @@ class CompressedGraph(GraphService):
                         bundle.index, bundle.grammar.alphabet)
         return bundle.pattern_counts
 
-    # -- neighborhood ---------------------------------------------------
-    def out_neighbors(self, node_id: int) -> List[int]:
-        """Sorted out-neighbor IDs of ``node_id`` (paper's ``N+``)."""
-        return self._cache.get_or_compute(
-            ("out", node_id),
-            lambda: self._queries().neighborhood.out_neighbors(node_id))
-
-    def in_neighbors(self, node_id: int) -> List[int]:
-        """Sorted in-neighbor IDs of ``node_id`` (paper's ``N-``)."""
-        return self._cache.get_or_compute(
-            ("in", node_id),
-            lambda: self._queries().neighborhood.in_neighbors(node_id))
-
-    def neighbors(self, node_id: int) -> List[int]:
-        """Sorted undirected neighborhood ``N(v)``."""
-        return self._cache.get_or_compute(
-            ("neighborhood", node_id),
-            lambda: self._queries().neighborhood.neighbors(node_id))
-
-    # Short serving-style spellings.
-    def out(self, node_id: int) -> List[int]:
-        """Alias of :meth:`out_neighbors`."""
-        return self.out_neighbors(node_id)
-
-    def in_(self, node_id: int) -> List[int]:
-        """Alias of :meth:`in_neighbors` (``in`` is a keyword)."""
-        return self.in_neighbors(node_id)
-
-    def neighborhood(self, node_id: int) -> List[int]:
-        """Alias of :meth:`neighbors`."""
-        return self.neighbors(node_id)
-
-    # -- speed-up queries -----------------------------------------------
-    def reachable(self, source_id: int, target_id: int) -> bool:
-        """(s,t)-reachability in ``O(|G|)`` (Theorem 6)."""
-        return self._cache.get_or_compute(
-            ("reach", source_id, target_id),
-            lambda: self._reachability().reachable(source_id, target_id))
-
-    def reach(self, source_id: int, target_id: int) -> bool:
-        """Alias of :meth:`reachable`."""
-        return self.reachable(source_id, target_id)
-
-    def connected_components(self) -> int:
-        """Number of connected components of ``val(G)`` (one pass)."""
+    def _component_count(self) -> int:
         bundle = self._queries()
         if bundle.component_count is None:
             with self._lock:
@@ -504,167 +455,69 @@ class CompressedGraph(GraphService):
                         bundle.grammar).connected_components()
         return bundle.component_count
 
-    def components(self) -> int:
-        """Alias of :meth:`connected_components`."""
-        return self.connected_components()
+    def _edge_count(self) -> int:
+        bundle = self._queries()
+        if bundle.edge_count is None:
+            bundle.edge_count = bundle.grammar.derived_edge_count()
+        return bundle.edge_count
 
-    def degrees(self) -> DegreeQueries:
-        """The degree-extrema evaluator (CMSO function, one pass)."""
-        return self._degrees()
-
-    def degree(self, node_id: Optional[int] = None,
-               direction: str = "out") -> Union[int, Dict[str, int]]:
-        """Degree information without decompressing.
-
-        With ``node_id``: the number of distinct ``out``/``in``/``any``
-        neighbors of that node.  Without: the true degree extrema of
-        ``val(G)`` (edge multiplicities included) as a dict with keys
-        ``max_out``/``min_out``/``max_in``/``min_in``/``max``/``min``.
-        """
-        if node_id is None:
-            extrema = self._degrees()
-            return {
-                "max_out": extrema.max_out_degree(),
-                "min_out": extrema.min_out_degree(),
-                "max_in": extrema.max_in_degree(),
-                "min_in": extrema.min_in_degree(),
-                "max": extrema.max_degree(),
-                "min": extrema.min_degree(),
-            }
-        if direction == "out":
-            return len(self.out_neighbors(node_id))
-        if direction == "in":
-            return len(self.in_neighbors(node_id))
-        if direction == "any":
-            return len(self.neighbors(node_id))
-        raise QueryError(f"unknown direction {direction!r}; "
-                         "expected 'out', 'in' or 'any'")
-
-    def path(self, source_id: int, target_id: int
-             ) -> Optional[List[int]]:
-        """A shortest directed path as node IDs, or ``None``."""
-        from repro.queries.traversal import shortest_path
-        return self._cache.get_or_compute(
-            ("path", source_id, target_id),
-            lambda: shortest_path(self, source_id, target_id))
-
-    # -- regular path queries / pattern counts --------------------------
-    @staticmethod
-    def _rpq_key(pattern: str, source: int, target: int,
-                 from_state: Optional[int],
-                 to_state: Optional[int]) -> Tuple[Any, ...]:
-        """The LRU key an RPQ shares with the typed protocol.
-
-        Matches ``QueryRequest.key``: the pattern text is replaced by
-        its minimized-DFA canonical form, so equivalent spellings
-        (``a|b`` / ``b|a``) share one entry; the optional state
-        overrides trail in wire order.
-        """
-        states: Tuple[Any, ...] = ()
-        if to_state is not None:
-            states = (from_state, to_state)
-        elif from_state is not None:
-            states = (from_state,)
-        return ("rpq", _rpq_cache_key(pattern), source, target, *states)
-
-    def rpq(self, pattern: str, source: int, target: int,
-            from_state: Optional[int] = None,
-            to_state: Optional[int] = None) -> bool:
-        """Does some ``source -> target`` path spell a word of ``pattern``?
-
-        ``pattern`` is a regex over edge-label names (literals, ``.``,
-        concatenation, ``|``, ``*``, ``+``, ``?``, parentheses — see
-        :mod:`repro.rpq.regex`).  Evaluation runs on a per-handle
-        memoized product-skeleton build (one per *canonical* DFA), with
-        a cost-gated product-automaton BFS fallback for automata large
-        relative to the grammar.
-
-        ``from_state`` / ``to_state`` override the DFA's start and
-        accepting states (states use the canonical DFA's numbering) —
-        the probe surface the sharded evaluator batches.
-        """
-        return self._cache.get_or_compute(
-            self._rpq_key(pattern, source, target, from_state, to_state),
-            lambda: self._rpq_engine().matches(
-                pattern, source, target, from_state, to_state))
-
-    def pattern_count(self, sub_kind: str, *args: Any) -> int:
-        """GraphZip-style labeled pattern counts over ``val(G)``.
-
-        ``("label", a)`` counts ``a``-edges; ``("digram", a, b)``
-        counts length-2 label paths; ``("star", a, k)`` counts nodes
-        with ``>= k`` outgoing ``a``-edges; ``("node_out", a, v)`` /
-        ``("node_in", a, v)`` are one node's labeled degrees with
-        multiplicity.  Labels are *names*; unknown names count zero.
-        """
-        return self._cache.get_or_compute(
-            ("pattern_count", sub_kind, *args),
-            lambda: self._pattern_counts().count(sub_kind, *args))
-
-    def out_edges(self, node_id: int) -> List[List[int]]:
-        """Labeled outgoing edges as sorted ``[label, target]`` pairs.
-
-        The labeled variant of :meth:`out_neighbors` (list-of-lists for
-        wire type-stability across the serving codecs).
-        """
-        return self._cache.get_or_compute(
-            ("out_edges", node_id),
-            lambda: [list(pair) for pair in
-                     self._queries().neighborhood.out_edges(node_id)])
+    def _degree_extrema(self) -> Dict[str, int]:
+        extrema = self._degrees()
+        return {
+            "max_out": extrema.max_out_degree(),
+            "min_out": extrema.min_out_degree(),
+            "max_in": extrema.max_in_degree(),
+            "min_in": extrema.min_in_degree(),
+            "max": extrema.max_degree(),
+            "min": extrema.min_degree(),
+        }
 
     @property
     def rpq_info(self) -> Dict[str, int]:
         """RPQ engine accounting: skeleton builds, cached DFAs, entries."""
         return self._rpq_engine().info()
 
-    def node_count(self) -> int:
-        """``|val(G)|_V`` without decompressing."""
-        return self._queries().index.total_nodes
-
-    def edge_count(self) -> int:
-        """Terminal edge count of ``val(G)`` without decompressing."""
-        bundle = self._queries()
-        if bundle.edge_count is None:
-            bundle.edge_count = bundle.grammar.derived_edge_count()
-        return bundle.edge_count
-
     # ------------------------------------------------------------------
-    # Batched evaluation for serving workloads
+    # The §V family (the methods themselves live on GraphService)
     # ------------------------------------------------------------------
-    #: Legacy spelling -> method map (kept for introspection; the
-    #: typed protocol in :mod:`repro.serving.protocol` is canonical).
-    _BATCH_KINDS = {alias: KIND_METHODS[kind]
-                    for alias, kind in KIND_ALIASES.items()}
+    def _uncached_query(self, kind: str, args: Tuple[Any, ...]) -> Any:
+        """Evaluate one query against the grammar, bypassing the LRU.
 
-    def _uncached_query(self, kind: QueryKind,
-                        args: Tuple[Any, ...]) -> Any:
-        """Evaluate one typed request *bypassing* the result LRU.
-
-        The planned executors pre-filter the cache and bulk-insert
-        the misses afterwards; consulting the LRU again per job would
-        double-count every lookup.  Non-cacheable kinds route through
-        their public methods (their memoization lives on the bundle,
-        not the LRU).
+        Neighbourhoods walk the index (Prop. 4); ``reach`` runs the
+        Theorem-6 skeletons; ``rpq`` a per-handle memoized
+        product-skeleton build (one per *canonical* DFA, with a
+        cost-gated product-BFS fallback); ``path`` is a BFS over the
+        cached :meth:`out`; the counts are one-pass grammar functions
+        memoized on the bundle.
         """
-        if kind is QueryKind.OUT:
+        if kind == "out":
             return self._queries().neighborhood.out_neighbors(*args)
-        if kind is QueryKind.IN:
+        if kind == "in":
             return self._queries().neighborhood.in_neighbors(*args)
-        if kind is QueryKind.NEIGHBORHOOD:
+        if kind == "neighborhood":
             return self._queries().neighborhood.neighbors(*args)
-        if kind is QueryKind.REACH:
+        if kind == "reach":
             return self._reachability().reachable(*args)
-        if kind is QueryKind.PATH:
-            from repro.queries.traversal import shortest_path
-            return shortest_path(self, *args)
-        if kind is QueryKind.RPQ:
+        if kind == "rpq":
             return self._rpq_engine().matches(*args)
-        if kind is QueryKind.PATTERN_COUNT:
-            return self._pattern_counts().count(*args)
-        if kind is QueryKind.OUT_EDGES:
+        if kind == "out_edges":
             return [list(pair) for pair in
                     self._queries().neighborhood.out_edges(*args)]
-        return getattr(self, KIND_METHODS[kind])(*args)
+        if kind == "degree":
+            node_id, direction = args
+            if node_id is None:
+                return self._degree_extrema()
+            return self._node_degree(node_id, direction)
+        if kind == "path":
+            from repro.queries.traversal import shortest_path
+            return shortest_path(self, *args)
+        if kind == "pattern_count":
+            return self._pattern_counts().count(*args)
+        if kind == "components":
+            return self._component_count()
+        if kind == "nodes":
+            return self._queries().index.total_nodes
+        return self._edge_count()
 
     def warm(self) -> "CompressedGraph":
         """Force every lazy structure now (index, evaluators, counts).
@@ -678,68 +531,15 @@ class CompressedGraph(GraphService):
         """
         self._queries()
         self._reachability()
-        self.edge_count()
-        for build in (self._degrees, self.connected_components):
+        self._edge_count()
+        for build in (self._degrees, self._component_count):
             try:
                 build()
             except QueryError:
                 pass
         return self
 
-    def batch(self, requests: Iterable[Sequence[Any]],
-              parallel: bool = False,
-              max_workers: Optional[int] = None,
-              executor: Optional[Executor] = None) -> List[Any]:
-        """Evaluate many queries against one index build.
-
-        Each request is a ``(kind, *args)`` sequence, e.g.
-        ``("reach", 1, 9)``, ``("out", 4)``, ``("components",)``,
-        ``("degree", 4, "in")`` or ``("path", 1, 7)``.  Results come
-        back in request order.  The index (and every shared
-        precomputation a request needs) is built once for the whole
-        batch, which is the intended shape for serving loops.
-
-        ``parallel=True`` selects the *planned* execution path: the
-        batch is deduplicated (serving traffic is skewed — identical
-        requests are the common case), pre-filtered against the
-        result LRU, and the unique misses are fanned out across a
-        thread pool.  ``executor`` overrides the strategy entirely
-        (any :class:`repro.serving.Executor`).  Answers are identical
-        whichever path runs, in request order; the first failing
-        request raises its :class:`QueryError` — the typed
-        :meth:`execute` surface is the one with per-request errors.
-        """
-        if executor is None:
-            executor = (ThreadExecutor(max_workers) if parallel
-                        else InlineExecutor())
-        self._queries()
-        results = executor.run(self, list(requests), strict=True)
-        return [result.unwrap() for result in results]
-
     def __repr__(self) -> str:
         built = "built" if self.index_built else "lazy"
         return (f"CompressedGraph(rules={self._grammar.num_rules}, "
                 f"|G|={self._grammar.size}, index={built})")
-
-    # ------------------------------------------------------------------
-    # Cache introspection
-    # ------------------------------------------------------------------
-    @property
-    def cache(self) -> QueryCache:
-        """The handle's query-result LRU."""
-        return self._cache
-
-    @property
-    def cache_info(self) -> Dict[str, Any]:
-        """LRU counters: capacity, size, hits, misses, evictions."""
-        return self._cache.info()
-
-    @property
-    def cache_hits(self) -> int:
-        """Queries answered from the result LRU."""
-        return self._cache.hits
-
-    @property
-    def cache_misses(self) -> int:
-        """Queries that fell through to grammar evaluation."""
-        return self._cache.misses

@@ -87,12 +87,13 @@ class QueryCache:
                 self.evictions += 1
 
     def get_or_compute(self, key: Hashable,
-                       compute: Callable[[], Any]) -> Any:
-        """The memoization shape the handles use for every query."""
+                       compute: Callable[..., Any], *args: Any) -> Any:
+        """The memoization shape the handles use for every query:
+        ``compute(*args)`` on a miss."""
         hit, value = self.lookup(key)
         if hit:
             return value
-        value = compute()
+        value = compute(*args)
         self.store(key, value)
         return self._copy_out(value)
 

@@ -12,8 +12,9 @@ downstream users do not have to re-derive them:
 * :func:`count_triangles` — directed triangle count (a classic
   neighborhood-only analytics kernel).
 
-All operate purely through :class:`GrammarQueries` neighborhoods; none
-materialize ``val(G)``.
+All operate purely through the ``out`` neighbourhoods of a
+:class:`~repro.serving.protocol.GraphService` — a local handle, a
+sharded one or a client; none materialize ``val(G)``.
 
 Frontier bookkeeping uses flat ``bytearray`` visited rows indexed by
 node ID (IDs are dense, ``1..node_count``) instead of hashed sets —
@@ -24,13 +25,15 @@ traversal.  Results are unchanged.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.exceptions import QueryError
-from repro.queries import GrammarQueries
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.serving.protocol import GraphService
 
 
-def bfs_distances(queries: GrammarQueries, source: int,
+def bfs_distances(queries: "GraphService", source: int,
                   max_hops: Optional[int] = None) -> Dict[int, int]:
     """Hop distances from ``source`` along directed edges."""
     total = queries.node_count()
@@ -45,7 +48,7 @@ def bfs_distances(queries: GrammarQueries, source: int,
         depth = distances[node]
         if max_hops is not None and depth >= max_hops:
             continue
-        for succ in queries.out_neighbors(node):
+        for succ in queries.out(node):
             if not seen[succ]:
                 seen[succ] = 1
                 distances[succ] = depth + 1
@@ -53,7 +56,7 @@ def bfs_distances(queries: GrammarQueries, source: int,
     return distances
 
 
-def shortest_path(queries: GrammarQueries, source: int,
+def shortest_path(queries: "GraphService", source: int,
                   target: int) -> Optional[List[int]]:
     """A shortest directed path (as node IDs), or None."""
     total = queries.node_count()
@@ -68,7 +71,7 @@ def shortest_path(queries: GrammarQueries, source: int,
     frontier = deque([source])
     while frontier:
         node = frontier.popleft()
-        for succ in queries.out_neighbors(node):
+        for succ in queries.out(node):
             if seen[succ]:
                 continue
             seen[succ] = 1
@@ -82,21 +85,21 @@ def shortest_path(queries: GrammarQueries, source: int,
     return None
 
 
-def degree_histogram(queries: GrammarQueries) -> Counter:
+def degree_histogram(queries: "GraphService") -> Counter:
     """Out-degree -> node count over all of ``val(G)``."""
     histogram: Counter = Counter()
     for node in range(1, queries.node_count() + 1):
-        histogram[len(queries.out_neighbors(node))] += 1
+        histogram[len(queries.out(node))] += 1
     return histogram
 
 
-def count_triangles(queries: GrammarQueries) -> int:
+def count_triangles(queries: "GraphService") -> int:
     """Number of directed triangles u -> v -> w -> u."""
     triangles = 0
     total = queries.node_count()
     for u in range(1, total + 1):
-        for v in queries.out_neighbors(u):
-            for w in queries.out_neighbors(v):
-                if w != u and u in queries.out_neighbors(w):
+        for v in queries.out(u):
+            for w in queries.out(v):
+                if w != u and u in queries.out(w):
                     triangles += 1
     return triangles // 3

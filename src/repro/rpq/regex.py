@@ -30,6 +30,12 @@ consumes.
 Malformed patterns raise :class:`repro.exceptions.QueryError` (a
 ``ReproError``), so the CLI reports them on stderr with exit code 2
 and the serving layer returns them on the per-request error channel.
+So do patterns over budget: subset construction can need ``2**n``
+states for an ``n``-symbol pattern (``(a|b)* a (a|b)`` … with ``n``
+trailing groups), and compilation runs during batch *planning*, so a
+pattern longer than :data:`MAX_PATTERN_LENGTH` characters is refused
+before parsing and one whose subset construction passes
+:data:`MAX_DFA_STATES` states is abandoned the moment it does.
 """
 
 from __future__ import annotations
@@ -41,6 +47,12 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, \
 from repro.exceptions import QueryError
 from repro.queries.paths import LabelDFA
 from repro.util.varint import read_uvarint, write_uvarint
+
+#: Longest pattern text :func:`compile_pattern` accepts.
+MAX_PATTERN_LENGTH = 256
+
+#: Most subset-construction states one pattern may build.
+MAX_DFA_STATES = 1024
 
 #: Symbolic rest-class: any edge label the pattern does not name.
 OTHER: Tuple[str, ...] = ("other",)
@@ -205,6 +217,10 @@ def parse(pattern: str) -> Node:
     if not isinstance(pattern, str):
         raise QueryError(
             f"pattern must be a string, got {type(pattern).__name__}")
+    if len(pattern) > MAX_PATTERN_LENGTH:
+        raise QueryError(
+            f"pattern is {len(pattern)} characters long; the limit is "
+            f"{MAX_PATTERN_LENGTH}")
     return _Parser(pattern).parse()
 
 
@@ -305,7 +321,8 @@ def _symbol_order(symbol: Symbol) -> Tuple[int, str]:
 def _determinize(nfa: _NFA, entry: int, exit_: int,
                  names: Set[str]) -> Tuple[int, FrozenSet[int],
                                            Dict[Tuple[int, Symbol], int]]:
-    """Subset construction over {named symbols} + OTHER."""
+    """Subset construction over {named symbols} + OTHER, abandoned
+    (``QueryError``) as soon as it would pass :data:`MAX_DFA_STATES`."""
     symbols = sorted([_lit(name) for name in names] + [OTHER],
                      key=_symbol_order)
     start = _eps_closure(nfa, [entry])
@@ -327,6 +344,10 @@ def _determinize(nfa: _NFA, entry: int, exit_: int,
                 continue
             closure = _eps_closure(nfa, move)
             if closure not in subset_ids:
+                if len(subset_ids) == MAX_DFA_STATES:
+                    raise QueryError(
+                        f"pattern needs more than {MAX_DFA_STATES} "
+                        f"automaton states")
                 subset_ids[closure] = len(subset_ids)
                 worklist.append(closure)
             transitions[(src, symbol)] = subset_ids[closure]

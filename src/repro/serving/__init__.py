@@ -5,8 +5,9 @@ Layering (each module only reaches down):
 ``protocol``
     :class:`QueryRequest` / :class:`QueryResult`, the
     :class:`QueryKind` vocabulary, the batch planner
-    (:func:`plan_batch`) and the :class:`GraphService` mixin that
-    gives every handle ``execute()`` with per-request errors.
+    (:func:`plan_batch`) and :class:`GraphService`, where the §V
+    query methods, ``execute()`` (per-request errors) and ``batch()``
+    are defined once for every handle and client.
 ``codec``
     The wire format: framed JSON or compact binary messages,
     value-exact for every §V answer.
@@ -34,8 +35,9 @@ Layering (each module only reaches down):
 
 :class:`repro.api.CompressedGraph` and
 :class:`repro.sharding.ShardedCompressedGraph` are the two in-process
-:class:`GraphService` implementations; ``serve()`` lifts either onto
-sockets without changing a single answer.
+:class:`GraphService` implementations, :class:`GraphClient` and
+:class:`ReplicatedShard` the two over the wire; ``serve()`` lifts
+either handle onto sockets without changing a single answer.
 """
 
 from repro.serving.aio import DEFAULT_PIPELINE, ServerLoop
@@ -76,7 +78,6 @@ from repro.serving.router import (
     DEFAULT_SHARD_TIMEOUT,
     GraphClient,
     GraphServer,
-    RemoteShard,
     ReplicatedShard,
     ShardHost,
     connect,
@@ -103,7 +104,6 @@ __all__ = [
     "QueryKind",
     "QueryRequest",
     "QueryResult",
-    "RemoteShard",
     "ReplicatedShard",
     "RequestTimeout",
     "ServerLoop",

@@ -45,7 +45,7 @@ import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import EncodingError, ReproError
-from repro.serving.protocol import QueryRequest, QueryResult
+from repro.serving.protocol import QueryKind, QueryRequest, QueryResult
 from repro.util.varint import read_uvarint, write_uvarint
 
 __all__ = [
@@ -161,7 +161,8 @@ def requests_to_wire(requests: Sequence[Union[QueryRequest,
         if isinstance(request, str):
             request = (request,)
         items = list(request)
-        kind = str(items[0]) if items else "?"
+        kind = items[0] if items else "?"
+        kind = kind.value if isinstance(kind, QueryKind) else str(kind)
         wire.append({"id": position, "kind": kind, "args": items[1:]})
     return wire
 

@@ -55,6 +55,7 @@ from repro.serving.protocol import (
     BatchPlan,
     QueryRequest,
     QueryResult,
+    bound_args,
     plan_batch,
 )
 
@@ -81,13 +82,14 @@ def evaluate_request(service: Any, request: QueryRequest,
 
     ``uncached=True`` routes through the service's ``_uncached_query``
     hook (planned paths pre-filter the LRU, so consulting it again
-    per-job would double-count); otherwise the public method runs,
-    LRU and all.  ``TypeError`` — the malformed-arguments failure —
-    is reported with the same message the legacy path raised.
+    per-job would double-count), with the arguments the kind's method
+    would pass on; otherwise the method itself runs, LRU and all.
+    A ``TypeError`` — malformed arguments — is reported as such.
     """
     try:
-        if uncached and hasattr(service, "_uncached_query"):
-            value = service._uncached_query(request.kind, request.args)
+        if uncached:
+            value = service._uncached_query(request.kind,
+                                            bound_args(request))
         else:
             method = KIND_METHODS[request.kind]
             value = getattr(service, method)(*request.args)

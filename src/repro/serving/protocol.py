@@ -30,11 +30,12 @@ This module supplies the three missing pieces:
     pure bookkeeping; *executing* a plan is an
     :class:`repro.serving.executors.Executor`'s job.
 :class:`GraphService`
-    The mixin both serving handles (and the socket client) share:
-    ``execute(requests) -> List[QueryResult]`` with per-request error
-    semantics, behind a pluggable executor.  ``batch()`` on the
-    handles is a thin adapter over it that unwraps values and raises
-    the first error — the historical surface, unchanged.
+    The one definition of the §V query methods (``out``, ``reach``,
+    ``rpq``, …), shared by both handles, the socket client and the
+    router's shard links; plus ``execute(requests) ->
+    List[QueryResult]`` with per-request error semantics behind a
+    pluggable executor, and ``batch()``, the thin adapter over it that
+    unwraps values and raises the first error.
 
 The canonical kind strings are exactly the tuples the query-result
 LRU keys on (``("out", 4)``, ``("reach", 1, 9)``…), so a cached
@@ -67,14 +68,15 @@ __all__ = [
     "BatchPlan",
     "CACHEABLE_KINDS",
     "GraphService",
-    "KIND_ALIASES",
     "KIND_METHODS",
     "QueryKind",
     "QueryRequest",
     "QueryResult",
+    "bound_args",
     "is_retryable",
     "normalize_request",
     "plan_batch",
+    "query_key",
 ]
 
 
@@ -102,7 +104,9 @@ class QueryKind(str, Enum):
     The values double as the wire spelling and as the first element
     of the LRU cache key, so every layer — single-shot methods,
     ``batch()``, executors, the socket protocol — speaks one
-    vocabulary.
+    vocabulary.  A member compares and hashes exactly like its value
+    (``QueryKind.OUT == "out"``), so the query methods pass the plain
+    spelling and either form keys the LRU alike.
     """
 
     REACH = "reach"
@@ -119,47 +123,27 @@ class QueryKind(str, Enum):
     OUT_EDGES = "out_edges"
 
 
-#: canonical kind -> public method name on the serving handles.
+#: spelling -> kind: ``QueryKind(name)`` as a plain dict lookup, which
+#: costs a tenth of the enum call on the per-request planning path.
+_KIND_BY_VALUE: Dict[str, QueryKind] = {kind.value: kind
+                                        for kind in QueryKind}
+
+#: kind -> the one :class:`GraphService` method answering it; only
+#: ``in`` (a Python keyword), ``nodes`` and ``edges`` differ from the
+#: kind's own spelling.
 KIND_METHODS: Dict[QueryKind, str] = {
-    QueryKind.REACH: "reachable",
-    QueryKind.OUT: "out_neighbors",
-    QueryKind.IN: "in_neighbors",
-    QueryKind.NEIGHBORHOOD: "neighbors",
+    QueryKind.REACH: "reach",
+    QueryKind.OUT: "out",
+    QueryKind.IN: "in_",
+    QueryKind.NEIGHBORHOOD: "neighborhood",
     QueryKind.DEGREE: "degree",
     QueryKind.PATH: "path",
-    QueryKind.COMPONENTS: "connected_components",
+    QueryKind.COMPONENTS: "components",
     QueryKind.NODES: "node_count",
     QueryKind.EDGES: "edge_count",
     QueryKind.RPQ: "rpq",
     QueryKind.PATTERN_COUNT: "pattern_count",
     QueryKind.OUT_EDGES: "out_edges",
-}
-
-#: Every accepted spelling (the legacy ``batch()`` wire format kept
-#: every method alias; the typed protocol accepts them all).
-KIND_ALIASES: Dict[str, QueryKind] = {
-    "reach": QueryKind.REACH,
-    "reachable": QueryKind.REACH,
-    "out": QueryKind.OUT,
-    "out_neighbors": QueryKind.OUT,
-    "in": QueryKind.IN,
-    "in_": QueryKind.IN,
-    "in_neighbors": QueryKind.IN,
-    "neighborhood": QueryKind.NEIGHBORHOOD,
-    "neighbors": QueryKind.NEIGHBORHOOD,
-    "degree": QueryKind.DEGREE,
-    "path": QueryKind.PATH,
-    "components": QueryKind.COMPONENTS,
-    "connected_components": QueryKind.COMPONENTS,
-    "nodes": QueryKind.NODES,
-    "node_count": QueryKind.NODES,
-    "edges": QueryKind.EDGES,
-    "edge_count": QueryKind.EDGES,
-    "rpq": QueryKind.RPQ,
-    "pattern_count": QueryKind.PATTERN_COUNT,
-    "pattern-count": QueryKind.PATTERN_COUNT,
-    "out_edges": QueryKind.OUT_EDGES,
-    "out-edges": QueryKind.OUT_EDGES,
 }
 
 #: Kinds whose answers the handles' LRU caches (same key tuples); the
@@ -174,6 +158,20 @@ CACHEABLE_KINDS = frozenset({
     QueryKind.PATTERN_COUNT,
     QueryKind.OUT_EDGES,
 })
+
+
+def query_key(kind: str, args: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    """The LRU key of one query: the kind, then its arguments.
+
+    RPQ keys canonicalize the pattern text through the regex front
+    end's minimized-DFA form, so equivalent patterns (``a|b`` /
+    ``b|a``) share one cache entry wherever they are asked —
+    single-shot, batched, or over the socket.
+    """
+    if kind == "rpq" and args:
+        from repro.rpq.regex import cache_key
+        return ("rpq", cache_key(args[0]), *args[1:])
+    return (kind, *args)
 
 
 @dataclass(frozen=True)
@@ -192,17 +190,9 @@ class QueryRequest:
 
     @property
     def key(self) -> Tuple[Any, ...]:
-        """The LRU cache key this request shares with single-shot calls.
-
-        RPQ keys canonicalize the pattern text through the regex
-        front end's minimized-DFA form, so equivalent patterns
-        (``a|b`` / ``b|a``) share one cache entry wherever they are
-        asked — single-shot, batched, or over the socket.
-        """
-        if self.kind is QueryKind.RPQ and self.args:
-            from repro.rpq.regex import cache_key
-            return ("rpq", cache_key(self.args[0]), *self.args[1:])
-        return (self.kind.value, *self.args)
+        """The LRU cache key this request shares with single-shot calls
+        (see :func:`query_key`)."""
+        return query_key(self.kind, self.args)
 
     def with_id(self, request_id: int) -> "QueryRequest":
         """A copy carrying ``request_id`` (requests are immutable)."""
@@ -240,11 +230,12 @@ class QueryResult:
 
 def normalize_request(request: Union[QueryRequest, Sequence[Any]],
                       request_id: Optional[int] = None) -> QueryRequest:
-    """Accept a :class:`QueryRequest` or a legacy ``(kind, *args)`` tuple.
+    """Accept a :class:`QueryRequest` or a ``(kind, *args)`` tuple.
 
-    Raises :class:`QueryError` for an empty request or an unknown
-    kind — the same messages the legacy ``batch()`` raised, so strict
-    callers keep their historical behavior.
+    ``kind`` must be one of the :class:`QueryKind` values.  Raises
+    :class:`QueryError` for an empty request or any other kind —
+    unhashable ones included, so a malformed request is a per-request
+    error and never aborts a batch.
     """
     if isinstance(request, QueryRequest):
         if request_id is not None and request.id != request_id:
@@ -256,11 +247,14 @@ def normalize_request(request: Union[QueryRequest, Sequence[Any]],
     if not request:
         raise QueryError("empty batch request")
     kind_name, *args = request
-    kind = KIND_ALIASES.get(kind_name)
+    try:
+        kind = _KIND_BY_VALUE.get(kind_name)
+    except TypeError:  # unhashable: no kind's spelling either
+        kind = None
     if kind is None:
         raise QueryError(
             f"unknown batch query kind {kind_name!r}; expected one "
-            f"of {sorted(KIND_ALIASES)}"
+            f"of {sorted(_KIND_BY_VALUE)}"
         )
     return QueryRequest(kind, tuple(args), request_id)
 
@@ -359,17 +353,140 @@ def plan_batch(requests: Iterable[Union[QueryRequest, Sequence[Any]]],
 
 
 class GraphService:
-    """Mixin: the typed execution surface shared by every handle.
+    """The §V query surface, defined once for every handle and client.
 
-    A concrete service provides the §V query methods named in
-    :data:`KIND_METHODS` (plus, optionally, the executor hooks
-    ``_uncached_query`` / ``_fanout_jobs`` / ``warm`` and a ``cache``
-    property).  In return it gains :meth:`execute` — typed requests
-    in, typed results out, per-request errors, pluggable executor —
-    which is the one entry point every executor, the socket router
-    and the wire protocol call.
+    The twelve query methods below — one per :class:`QueryKind`, named
+    by :data:`KIND_METHODS` — are the only spelling of the family.
+    Each is a one-liner into :meth:`_query`, which answers
+    :data:`CACHEABLE_KINDS` through the surface's result LRU
+    (``_cache``, under :func:`query_key`) and everything else — every
+    LRU miss included — through the surface's one hook,
+    ``_uncached_query(kind, args)``.  ``args`` there are always shaped
+    by the method's own signature (see :func:`bound_args`).  A surface
+    supplies only that hook, its constructors and persistence; in
+    return it gains the query methods, :meth:`execute` (typed requests
+    in, per-request results out, pluggable executor), :meth:`batch`
+    and the cache counters — so an unsharded handle, a sharded one and
+    a socket client are interchangeable by construction.
     """
 
+    #: The surface's query-result LRU; ``None`` where answers are not
+    #: cached (socket clients and shard links).
+    _cache: Optional["QueryCache"] = None
+
+    def _uncached_query(self, kind: str, args: Tuple[Any, ...]) -> Any:
+        """Evaluate one query, bypassing the LRU.
+
+        ``kind`` is a :class:`QueryKind` or its plain spelling (they
+        compare alike).  The planned executors call this directly:
+        they pre-filter the LRU and bulk-insert the misses, so a second
+        lookup per job would double-count.
+        """
+        raise NotImplementedError
+
+    def _query(self, kind: str, *args: Any) -> Any:
+        cache = self._cache
+        if cache is None or kind not in CACHEABLE_KINDS:
+            return self._uncached_query(kind, args)
+        return cache.get_or_compute(query_key(kind, args),
+                                    self._uncached_query, kind, args)
+
+    # -- neighbourhoods (Prop. 4) ---------------------------------------
+    def out(self, node_id: int) -> List[int]:
+        """Sorted out-neighbour IDs of ``node_id`` (the paper's ``N+``)."""
+        return self._query("out", node_id)
+
+    def in_(self, node_id: int) -> List[int]:
+        """Sorted in-neighbour IDs of ``node_id`` (``N-``; ``in`` is a
+        keyword)."""
+        return self._query("in", node_id)
+
+    def neighborhood(self, node_id: int) -> List[int]:
+        """Sorted undirected neighbourhood ``N(v)``."""
+        return self._query("neighborhood", node_id)
+
+    def out_edges(self, node_id: int) -> List[List[int]]:
+        """Labeled outgoing edges as sorted ``[label, target]`` pairs
+        (list-of-lists for wire type-stability across the codecs)."""
+        return self._query("out_edges", node_id)
+
+    def degree(self, node_id: Optional[int] = None,
+               direction: str = "out") -> Union[int, Dict[str, int]]:
+        """Degree information without decompressing.
+
+        With ``node_id``: the number of distinct ``out``/``in``/``any``
+        neighbours of that node.  Without: the true degree extrema of
+        ``val(G)`` (edge multiplicities included) as a dict with keys
+        ``max_out``/``min_out``/``max_in``/``min_in``/``max``/``min``.
+        """
+        return self._query("degree", node_id, direction)
+
+    def _node_degree(self, node_id: int, direction: str) -> int:
+        """Distinct neighbours of one node, through the cached methods."""
+        if direction == "out":
+            return len(self.out(node_id))
+        if direction == "in":
+            return len(self.in_(node_id))
+        if direction == "any":
+            return len(self.neighborhood(node_id))
+        raise QueryError(f"unknown direction {direction!r}; "
+                         "expected 'out', 'in' or 'any'")
+
+    # -- speed-up queries (Theorem 6, one-pass counts) ------------------
+    def reach(self, source_id: int, target_id: int) -> bool:
+        """(s,t)-reachability in ``O(|G|)`` (Theorem 6)."""
+        return self._query("reach", source_id, target_id)
+
+    def path(self, source_id: int, target_id: int
+             ) -> Optional[List[int]]:
+        """A shortest directed path as node IDs, or ``None``."""
+        return self._query("path", source_id, target_id)
+
+    def components(self) -> int:
+        """Number of connected components of ``val(G)`` (one pass)."""
+        return self._query("components")
+
+    def node_count(self) -> int:
+        """``|val(G)|_V`` without decompressing."""
+        return self._query("nodes")
+
+    def edge_count(self) -> int:
+        """Terminal edge count of ``val(G)`` without decompressing."""
+        return self._query("edges")
+
+    # -- regular path queries / pattern counts --------------------------
+    def rpq(self, pattern: str, source: int, target: int,
+            from_state: Optional[int] = None,
+            to_state: Optional[int] = None) -> bool:
+        """Does some ``source -> target`` path spell a word of ``pattern``?
+
+        ``pattern`` is a regex over edge-label names (literals, ``.``,
+        concatenation, ``|``, ``*``, ``+``, ``?``, parentheses — see
+        :mod:`repro.rpq.regex`).  ``from_state`` / ``to_state``
+        override the DFA's start and accepting states (in the
+        canonical DFA's numbering) — the probe surface the sharded
+        evaluator batches; they trail the request in wire order.
+        """
+        if to_state is not None:
+            return self._query("rpq", pattern, source, target,
+                               from_state, to_state)
+        if from_state is not None:
+            return self._query("rpq", pattern, source, target,
+                               from_state)
+        return self._query("rpq", pattern, source, target)
+
+    def pattern_count(self, sub_kind: str, *args: Any) -> int:
+        """GraphZip-style labeled pattern counts over ``val(G)``.
+
+        ``("label", a)`` counts ``a``-edges; ``("digram", a, b)``
+        counts length-2 label paths; ``("star", a, k)`` counts nodes
+        with ``>= k`` outgoing ``a``-edges; ``("node_out", a, v)`` /
+        ``("node_in", a, v)`` are one node's labeled degrees with
+        multiplicity.  Labels are *names*; unknown names count zero.
+        """
+        return self._query("pattern_count", sub_kind, *args)
+
+    # -- batches ---------------------------------------------------------
     def execute(self, requests: Iterable[Union[QueryRequest,
                                                Sequence[Any]]],
                 executor: Optional["Executor"] = None
@@ -379,9 +496,77 @@ class GraphService:
         Unlike :meth:`batch`, a bad request never aborts the batch:
         its result carries ``error`` and every other request is still
         answered.  ``executor`` defaults to
-        :class:`repro.serving.executors.InlineExecutor` — today's
+        :class:`repro.serving.executors.InlineExecutor` — the
         sequential path.
         """
         from repro.serving.executors import InlineExecutor
         runner = executor if executor is not None else InlineExecutor()
         return runner.run(self, list(requests), strict=False)
+
+    def batch(self, requests: Iterable[Sequence[Any]],
+              parallel: bool = False,
+              max_workers: Optional[int] = None,
+              executor: Optional["Executor"] = None) -> List[Any]:
+        """Evaluate many ``(kind, *args)`` requests; values in order.
+
+        E.g. ``("reach", 1, 9)``, ``("out", 4)``, ``("components",)``,
+        ``("degree", 4, "in")``.  ``parallel=True`` selects the
+        *planned* path: the batch is deduplicated, pre-filtered against
+        the result LRU, and the unique misses fan out across a thread
+        pool (per owning shard on a sharded handle).  ``executor``
+        overrides the strategy entirely.  Answers are identical
+        whichever path runs; the first failing request raises its
+        :class:`QueryError` — :meth:`execute` is the surface with
+        per-request errors.
+        """
+        from repro.serving.executors import InlineExecutor, ThreadExecutor
+        if executor is None:
+            executor = (ThreadExecutor(max_workers) if parallel
+                        else InlineExecutor())
+        results = executor.run(self, list(requests), strict=True)
+        return [result.unwrap() for result in results]
+
+    # -- cache introspection ---------------------------------------------
+    @property
+    def cache(self) -> Optional["QueryCache"]:
+        """The surface's query-result LRU (``None`` when it keeps none)."""
+        return self._cache
+
+    @property
+    def cache_info(self) -> Dict[str, Any]:
+        """LRU counters: capacity, size, hits, misses, evictions."""
+        return self._cache.info()
+
+    @property
+    def cache_hits(self) -> int:
+        """Queries answered from the result LRU."""
+        return self._cache.hits
+
+    @property
+    def cache_misses(self) -> int:
+        """Queries that fell through to evaluation."""
+        return self._cache.misses
+
+
+class _ArgumentRecorder:
+    """Stands in for a surface: hands back what a method passes on."""
+
+    @staticmethod
+    def _query(kind: str, *args: Any) -> Tuple[Any, ...]:
+        return args
+
+
+_RECORDER = _ArgumentRecorder()
+
+
+def bound_args(request: QueryRequest) -> Tuple[Any, ...]:
+    """``request.args`` exactly as its kind's method hands them on.
+
+    Runs the one :class:`GraphService` definition of the kind on a
+    recorder, so defaults are filled in (``degree(4)`` ->
+    ``(4, "out")``) and a malformed argument list raises that method's
+    own ``TypeError`` — the same message on every surface and every
+    executor, whether or not the request bypasses the LRU.
+    """
+    method = getattr(GraphService, KIND_METHODS[request.kind])
+    return method(_RECORDER, *request.args)

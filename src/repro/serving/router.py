@@ -11,25 +11,25 @@ in memory and *answer traffic* — becomes concrete here:
     its local §V family on a loopback socket) plus a **router** in
     the calling process: a proxy-backed
     :class:`~repro.sharding.ShardedCompressedGraph` whose "shard
-    handles" are :class:`RemoteShard` socket clients.  Incoming
+    handles" are :class:`ReplicatedShard` socket links.  Incoming
     batches are planned once (dedup + router-side LRU pre-filter) and
     the per-shard groups are multiplexed over the shard links in
     parallel; cross-shard queries run the exact routed/merged
     algorithms the in-process handle uses, so answers are
     bit-identical to local evaluation.
 :class:`GraphClient` (``connect()``)
-    The wire-codec client: typed ``execute()``, legacy-shaped
+    The wire-codec client: the §V methods of every
+    :class:`~repro.serving.protocol.GraphService`, typed ``execute()``,
     ``batch()``, single-shot ``query()``, ``info()``/``ping()`` — and,
     with ``pipeline=True``, a **multiplexing** client: every frame is
     sequence-tagged, many batches ride one connection concurrently
     (``execute_async`` returns a future), and ``pool_size=`` spreads
     the traffic over several such connections.
-:class:`RemoteShard`
-    A shard-shaped proxy speaking the same wire protocol; the sharded
-    handle cannot tell it from a local :class:`CompressedGraph`.  The
-    router runs its shard links pipelined, so concurrent client
-    batches multiplex over one socket per shard instead of queueing
-    on a per-connection lock.
+:class:`ReplicatedShard`
+    One shard behind its replica endpoints, one pipelined client per
+    replica; the sharded handle cannot tell it from a local
+    :class:`CompressedGraph`, and concurrent client batches multiplex
+    over one socket per replica instead of queueing on a lock.
 
 Every server — the router and each shard process — runs the
 :class:`repro.serving.aio.ServerLoop` event loop: many in-flight
@@ -53,7 +53,7 @@ import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ManifestError, ReproError, ShardUnavailable
 from repro.serving.aio import ServerLoop
@@ -79,7 +79,7 @@ from repro.serving.executors import (
     _fork_context,
 )
 from repro.serving.protocol import (
-    KIND_METHODS,
+    GraphService,
     QueryRequest,
     QueryResult,
     is_retryable,
@@ -88,7 +88,6 @@ from repro.serving.protocol import (
 __all__ = [
     "GraphClient",
     "GraphServer",
-    "RemoteShard",
     "ReplicatedShard",
     "ShardHost",
     "connect",
@@ -419,8 +418,12 @@ class _MuxConnection:
                 pass
 
 
-class GraphClient:
-    """Client for a served graph: typed, legacy and one-shot surfaces.
+class GraphClient(GraphService):
+    """Client for a served graph: the §V methods, typed and batch surfaces.
+
+    A :class:`~repro.serving.protocol.GraphService` like the local
+    handles — ``client.out(4)``, ``client.reach(1, 9)`` — where each
+    query is one :meth:`query` round trip (the server keeps the LRU).
 
     The default client is strict request–response on one connection —
     simple, and exactly what scripts and the CLI need.  With
@@ -555,14 +558,16 @@ class GraphClient:
         inner.add_done_callback(settle)
         return done
 
-    # -- legacy-shaped -------------------------------------------------
     def batch(self, requests: Sequence[Sequence[Any]]) -> List[Any]:
-        """Values in request order; raises the first error (legacy)."""
+        """One frame, values in request order; raises the first error."""
         return [result.unwrap() for result in self.execute(requests)]
 
     def query(self, kind: str, *args: Any) -> Any:
         """One query, unwrapped."""
         return self.execute([(kind, *args)])[0].unwrap()
+
+    def _uncached_query(self, kind: str, args: Tuple[Any, ...]) -> Any:
+        return self.query(kind, *args)
 
     # -- control -------------------------------------------------------
     def info(self) -> Dict[str, Any]:
@@ -597,105 +602,31 @@ class GraphClient:
         self.close()
 
 
-class _ShardProxy:
-    """The §V method surface of a shard that lives behind a transport.
-
-    One forwarding method per :data:`KIND_METHODS` entry
-    (``out_neighbors(v)`` -> ``_single("out", v)``, ...), generated
-    below, plus the inert introspection the sharded handle reads off
-    its shards — a proxy owns no grammar state.  Subclasses supply the
-    transport: ``_single``, ``execute``, ``batch``, ``info``,
-    ``round_trips``, ``close``.
-    """
-
-    canonicalizations = 0
-    index_built = True
-
-    def _single(self, kind: str, *args: Any) -> Any:
-        raise NotImplementedError
-
-
-def _forwarder(kind: str) -> Any:
-    def method(self: _ShardProxy, *args: Any) -> Any:
-        return self._single(kind, *args)
-    return method
-
-
-for _kind, _name in KIND_METHODS.items():
-    setattr(_ShardProxy, _name, _forwarder(_kind.value))
-
-
-class RemoteShard(_ShardProxy):
-    """A shard handle living in another process, spoken to by socket.
-
-    Duck-types the slice of :class:`repro.api.CompressedGraph` the
-    sharded routing layer touches — ``batch``/``execute`` plus the
-    :class:`_ShardProxy` query methods — by shipping each call to
-    its shard server.  The answers come from the same grammar code
-    the local handle would run, which is why router-served answers
-    are bit-identical to in-process ones.
-
-    The link is **pipelined by default**: concurrent router batches
-    (the event loop's worker pool fanning out per-shard groups)
-    multiplex over one sequence-tagged connection instead of
-    queueing on a per-connection lock.
-    """
-
-    def __init__(self, address: Union[str, tuple], codec: str = "json",
-                 timeout: Optional[float] = None,
-                 pipeline: bool = True) -> None:
-        self._client = GraphClient(address, codec=codec,
-                                   timeout=timeout, pipeline=pipeline)
-        self.address = address
-
-    def info(self) -> Dict[str, Any]:
-        """The shard server's self-description."""
-        return self._client.info()
-
-    # -- the wire format ----------------------------------------------
-    def execute(self, requests: Sequence[Union[QueryRequest,
-                                               Sequence[Any]]],
-                executor: Optional[Executor] = None
-                ) -> List[QueryResult]:
-        return self._client.execute(requests)
-
-    def batch(self, requests: Sequence[Sequence[Any]],
-              parallel: bool = False,
-              max_workers: Optional[int] = None) -> List[Any]:
-        return self._client.batch(requests)
-
-    def _single(self, kind: str, *args: Any) -> Any:
-        return self._client.query(kind, *args)
-
-    @property
-    def round_trips(self) -> int:
-        """Wire exchanges with this shard (a cost meter for tests)."""
-        return self._client.round_trips
-
-    def close(self) -> None:
-        self._client.close()
-
-
 class _Replica:
     """One endpoint's failover state inside a :class:`ReplicatedShard`."""
 
-    __slots__ = ("endpoint", "shard", "failures", "down_until",
+    __slots__ = ("endpoint", "client", "failures", "down_until",
                  "retired_trips")
 
     def __init__(self, endpoint: Union[str, tuple]) -> None:
         self.endpoint = endpoint
-        self.shard: Optional[RemoteShard] = None
+        self.client: Optional[GraphClient] = None
         self.failures = 0
         self.down_until = 0.0
         self.retired_trips = 0
 
 
-class ReplicatedShard(_ShardProxy):
+class ReplicatedShard(GraphService):
     """One logical shard behind N replica endpoints.
 
-    Duck-types the same :class:`~repro.api.CompressedGraph` surface as
-    :class:`RemoteShard`, so the sharded router (and the single-shard
-    server) cannot tell a replicated shard from a lone one.  Reads are
+    The same :class:`~repro.serving.protocol.GraphService` surface as a
+    local :class:`~repro.api.CompressedGraph`, answered by the shard
+    servers — the same grammar code the local handle would run, which
+    is why router-served answers are bit-identical to in-process ones —
+    so the sharded router (and the single-shard server) cannot tell a
+    shard link from a local shard.  Each replica is one pipelined
+    :class:`GraphClient`: concurrent router batches multiplex over one
+    sequence-tagged connection instead of queueing on a lock.  Reads are
     **round-robin load-balanced** across healthy replicas; a retryable
     link failure (:func:`repro.serving.protocol.is_retryable` — kill,
     hang past the per-request ``timeout``, truncation, reset) marks
@@ -715,6 +646,10 @@ class ReplicatedShard(_ShardProxy):
     failed attempt that was retried onto a peer contributes exactly
     one completed exchange, no matter how many replicas exist.
     """
+
+    #: A link owns no grammar state: nothing to canonicalize or build.
+    canonicalizations = 0
+    index_built = True
 
     def __init__(self, endpoints: Sequence[Union[str, tuple]],
                  codec: str = "json",
@@ -747,26 +682,26 @@ class ReplicatedShard(_ShardProxy):
         # retried first.
         return healthy + sorted(cooling, key=lambda r: r.down_until)
 
-    def _ensure(self, replica: _Replica) -> RemoteShard:
+    def _ensure(self, replica: _Replica) -> GraphClient:
         with self._lock:
-            if replica.shard is None:
-                replica.shard = RemoteShard(
+            if replica.client is None:
+                replica.client = GraphClient(
                     replica.endpoint, codec=self._codec,
                     timeout=self._timeout, pipeline=self._pipeline)
-            return replica.shard
+            return replica.client
 
-    def _mark_down(self, replica: _Replica, shard: RemoteShard) -> None:
+    def _mark_down(self, replica: _Replica, client: GraphClient) -> None:
         with self._lock:
             replica.failures += 1
             replica.down_until = time.monotonic() + min(
                 _BACKOFF_CAP,
                 _BACKOFF_BASE * (2 ** (replica.failures - 1)))
-            if replica.shard is shard:
+            if replica.client is client:
                 # The poisoned connection cannot be reused; a fresh
-                # RemoteShard reconnects on the next attempt.
-                replica.retired_trips += shard.round_trips
-                replica.shard = None
-        shard.close()
+                # client reconnects on the next attempt.
+                replica.retired_trips += client.round_trips
+                replica.client = None
+        client.close()
 
     def _mark_up(self, replica: _Replica) -> None:
         if replica.failures:
@@ -775,17 +710,17 @@ class ReplicatedShard(_ShardProxy):
                 replica.down_until = 0.0
 
     def _attempt(self, call: Any) -> Any:
-        """Run ``call(shard)`` against replicas until one answers."""
+        """Run ``call(client)`` against replicas until one answers."""
         failures: List[str] = []
         plan = self._plan(time.monotonic())
         for replica in plan:
-            shard = self._ensure(replica)
+            client = self._ensure(replica)
             try:
-                value = call(shard)
+                value = call(client)
             except (ReproError, OSError) as exc:
                 if not is_retryable(exc):
                     raise
-                self._mark_down(replica, shard)
+                self._mark_down(replica, client)
                 failures.append(f"{replica.endpoint}: {exc}")
                 if len(failures) < len(plan):
                     with self._lock:
@@ -804,19 +739,20 @@ class ReplicatedShard(_ShardProxy):
                                                Sequence[Any]]],
                 executor: Optional[Executor] = None
                 ) -> List[QueryResult]:
-        return self._attempt(lambda shard: shard.execute(requests))
+        """The whole batch in one frame to one replica (the shard
+        server plans and executes it)."""
+        return self._attempt(lambda client: client.execute(requests))
 
-    def batch(self, requests: Sequence[Sequence[Any]],
-              parallel: bool = False,
-              max_workers: Optional[int] = None) -> List[Any]:
-        return self._attempt(lambda shard: shard.batch(requests))
+    def batch(self, requests: Sequence[Sequence[Any]]) -> List[Any]:
+        """One frame, values in order; raises the first error."""
+        return self._attempt(lambda client: client.batch(requests))
 
-    def _single(self, kind: str, *args: Any) -> Any:
-        return self._attempt(lambda shard: shard._single(kind, *args))
+    def _uncached_query(self, kind: str, args: Tuple[Any, ...]) -> Any:
+        return self._attempt(lambda client: client.query(kind, *args))
 
     def info(self) -> Dict[str, Any]:
         """Any live replica's self-description."""
-        return self._attempt(lambda shard: shard.info())
+        return self._attempt(lambda client: client.info())
 
     # -- introspection -------------------------------------------------
     @property
@@ -828,8 +764,8 @@ class ReplicatedShard(_ShardProxy):
         """Completed exchanges per replica endpoint (for tests)."""
         with self._lock:
             return [replica.retired_trips
-                    + (replica.shard.round_trips
-                       if replica.shard is not None else 0)
+                    + (replica.client.round_trips
+                       if replica.client is not None else 0)
                     for replica in self._replicas]
 
     @property
@@ -839,12 +775,12 @@ class ReplicatedShard(_ShardProxy):
 
     def close(self) -> None:
         with self._lock:
-            shards = [replica.shard for replica in self._replicas
-                      if replica.shard is not None]
+            clients = [replica.client for replica in self._replicas
+                       if replica.client is not None]
             for replica in self._replicas:
-                replica.shard = None
-        for shard in shards:
-            shard.close()
+                replica.client = None
+        for client in clients:
+            client.close()
 
 
 # ----------------------------------------------------------------------

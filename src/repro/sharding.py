@@ -64,7 +64,7 @@ the actual partition topology:
   :class:`repro.serving.GraphService`, so the typed ``execute()``
   surface, every executor, and :func:`repro.serving.serve` (one
   socket-served process per shard behind a router, with
-  :class:`repro.serving.router.RemoteShard` proxies standing in for
+  :class:`repro.serving.ReplicatedShard` links standing in for
   the local shard handles) all apply unchanged — including the
   planner and the closure, which the router consults identically.
 
@@ -83,7 +83,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -127,18 +126,8 @@ from repro.partition import (
 from repro.queries.cache import QueryCache
 from repro.rpq.counts import validate_args as _validate_pattern_count
 from repro.rpq.engine import _resolve_states
-from repro.rpq.regex import (
-    PatternDFA,
-    cache_key as _rpq_cache_key,
-    compile_pattern,
-)
-from repro.serving.executors import (
-    Executor,
-    InlineExecutor,
-    ThreadExecutor,
-    evaluate_request,
-    fork_map,
-)
+from repro.rpq.regex import PatternDFA, compile_pattern
+from repro.serving.executors import evaluate_request, fork_map
 from repro.serving.protocol import (
     GraphService,
     QueryKind,
@@ -214,8 +203,6 @@ class ShardedCompressedGraph(GraphService):
     at most once.
     """
 
-    _BATCH_KINDS = CompressedGraph._BATCH_KINDS
-
     def __init__(self, shards: List[CompressedGraph],
                  alphabet: Optional[Alphabet],
                  meta: ShardedMeta,
@@ -254,7 +241,7 @@ class ShardedCompressedGraph(GraphService):
             base += count
         self._total_nodes = base
         self._shard_nodes = list(meta.shard_nodes)
-        self._component_count: Optional[int] = None
+        self._components: Optional[int] = None
         #: True iff every edge of the full graph has rank 2; mirrors
         #: the unsharded handle, whose reach raises on any hyperedge.
         self._simple = meta.simple
@@ -741,26 +728,6 @@ class ShardedCompressedGraph(GraphService):
         return all(shard.index_built for shard in self._shards)
 
     @property
-    def cache(self) -> QueryCache:
-        """The handle's query-result LRU."""
-        return self._cache
-
-    @property
-    def cache_info(self) -> Dict[str, Any]:
-        """LRU counters: capacity, size, hits, misses, evictions."""
-        return self._cache.info()
-
-    @property
-    def cache_hits(self) -> int:
-        """Queries answered from the result LRU."""
-        return self._cache.hits
-
-    @property
-    def cache_misses(self) -> int:
-        """Queries that fell through to evaluation."""
-        return self._cache.misses
-
-    @property
     def stats(self) -> Dict[str, object]:
         """Aggregate build statistics over the shards."""
         per_shard = [shard.stats for shard in self._shards]
@@ -794,7 +761,8 @@ class ShardedCompressedGraph(GraphService):
     # ------------------------------------------------------------------
     def _owner(self, node_id: int) -> int:
         """Shard index owning a global node ID."""
-        if not 1 <= node_id <= self._total_nodes:
+        if (not isinstance(node_id, int) or isinstance(node_id, bool)
+                or not 1 <= node_id <= self._total_nodes):
             raise QueryError(
                 f"node ID {node_id} out of range 1..{self._total_nodes}"
             )
@@ -845,13 +813,13 @@ class ShardedCompressedGraph(GraphService):
         base = self._bases[shard]
         handle = self._shards[shard]
         if direction == "out":
-            inner = handle.out_neighbors(local)
+            inner = handle.out(local)
             extra = self._boundary.out.get(node_id)
         elif direction == "in":
-            inner = handle.in_neighbors(local)
+            inner = handle.in_(local)
             extra = self._boundary.into.get(node_id)
         else:
-            inner = handle.neighbors(local)
+            inner = handle.neighborhood(local)
             extra = self._boundary.undirected.get(node_id)
         result = [node + base for node in inner]
         if extra:
@@ -860,53 +828,18 @@ class ShardedCompressedGraph(GraphService):
             return sorted(merged)
         return result
 
-    def out_neighbors(self, node_id: int) -> List[int]:
-        """Sorted out-neighbor IDs of ``node_id`` (paper's ``N+``)."""
-        return self._cache.get_or_compute(
-            ("out", node_id),
-            lambda: self._merged_neighbors(node_id, "out"))
-
-    def in_neighbors(self, node_id: int) -> List[int]:
-        """Sorted in-neighbor IDs of ``node_id`` (paper's ``N-``)."""
-        return self._cache.get_or_compute(
-            ("in", node_id),
-            lambda: self._merged_neighbors(node_id, "in"))
-
-    def neighbors(self, node_id: int) -> List[int]:
-        """Sorted undirected neighborhood ``N(v)``."""
-        return self._cache.get_or_compute(
-            ("neighborhood", node_id),
-            lambda: self._merged_neighbors(node_id, "any"))
-
-    def out(self, node_id: int) -> List[int]:
-        """Alias of :meth:`out_neighbors`."""
-        return self.out_neighbors(node_id)
-
-    def in_(self, node_id: int) -> List[int]:
-        """Alias of :meth:`in_neighbors` (``in`` is a keyword)."""
-        return self.in_neighbors(node_id)
-
-    def neighborhood(self, node_id: int) -> List[int]:
-        """Alias of :meth:`neighbors`."""
-        return self.neighbors(node_id)
-
     # ------------------------------------------------------------------
     # Speed-up queries (merge per-shard summaries)
     # ------------------------------------------------------------------
-    def reachable(self, source_id: int, target_id: int) -> bool:
+    def _reach_uncached(self, source_id: int, target_id: int) -> bool:
         """(s,t)-reachability across shards, planned per query.
 
         Same-shard pairs are first asked of the owning shard's
         Theorem-6 query verbatim (``O(|G_i|)``).  Whatever that does
         not settle takes the cross-shard route of :meth:`_route` with
         the universal one-state automaton — the very code path
-        :meth:`rpq` takes with a pattern DFA.
+        :meth:`_rpq_uncached` takes with a pattern DFA.
         """
-        return self._cache.get_or_compute(
-            ("reach", source_id, target_id),
-            lambda: self._reach_uncached(source_id, target_id))
-
-    def _reach_uncached(self, source_id: int, target_id: int) -> bool:
         if not self._simple:
             raise QueryError(
                 "reachability requires a simple derived graph; found "
@@ -915,18 +848,14 @@ class ShardedCompressedGraph(GraphService):
         source_shard = self._owner(source_id)
         target_shard = self._owner(target_id)
         if (source_shard == target_shard
-                and self._shards[source_shard].reachable(
+                and self._shards[source_shard].reach(
                     self._local(source_id, source_shard),
                     self._local(target_id, source_shard))):
             return True
         return self._route(_REACH, source_id, target_id,
                            source_shard, target_shard)
 
-    def reach(self, source_id: int, target_id: int) -> bool:
-        """Alias of :meth:`reachable`."""
-        return self.reachable(source_id, target_id)
-
-    def connected_components(self) -> int:
+    def _component_count(self) -> int:
         """Components of the full graph from per-shard counts.
 
         Per-shard grammar counts (the paper's one-pass CMSO function)
@@ -937,10 +866,9 @@ class ShardedCompressedGraph(GraphService):
         merges the boundary performs.
         """
         with self._lock:
-            if self._component_count is not None:
-                return self._component_count
-        shard_total = sum(shard.connected_components()
-                          for shard in self._shards)
+            if self._components is not None:
+                return self._components
+        shard_total = sum(shard.components() for shard in self._shards)
         roots: Dict[int, int] = {}
         for shard_blocks in self._boundary.blocks:
             for block in shard_blocks:
@@ -955,60 +883,17 @@ class ShardedCompressedGraph(GraphService):
                 merge.union(anchor, roots[node])
         count = shard_total - (before - merge.set_count)
         with self._lock:
-            self._component_count = count
+            self._components = count
         return count
 
-    def components(self) -> int:
-        """Alias of :meth:`connected_components`."""
-        return self.connected_components()
-
-    def degree(self, node_id: Optional[int] = None,
-               direction: str = "out") -> Union[int, Dict[str, int]]:
-        """Degree information without decompressing.
-
-        Same contract as :meth:`CompressedGraph.degree`: per-node
-        counts are distinct neighbors (boundary edges merged in); the
-        no-argument form returns the true multiplicity-counting
-        extrema, precomputed over the whole input at partition time
-        (boundary edges contribute to boundary nodes' degrees, so no
-        single shard could answer this).
-        """
-        if node_id is None:
-            if self._extrema is None:
-                raise QueryError(self._degree_error
-                                 or "degree extrema unavailable")
-            return dict(self._extrema)
-        if direction == "out":
-            return len(self.out_neighbors(node_id))
-        if direction == "in":
-            return len(self.in_neighbors(node_id))
-        if direction == "any":
-            return len(self.neighbors(node_id))
-        raise QueryError(f"unknown direction {direction!r}; "
-                         "expected 'out', 'in' or 'any'")
-
-    def degrees(self) -> Dict[str, int]:
-        """The degree extrema dict (sharded form of the evaluator)."""
-        result = self.degree()
-        assert isinstance(result, dict)
-        return result
-
-    def path(self, source_id: int, target_id: int
-             ) -> Optional[List[int]]:
-        """A shortest directed path as global node IDs, or ``None``."""
-        from repro.queries.traversal import shortest_path
-        return self._cache.get_or_compute(
-            ("path", source_id, target_id),
-            lambda: shortest_path(self, source_id, target_id))
-
-    def node_count(self) -> int:
-        """``|val|_V`` of the full graph (sum of shard counts)."""
-        return self._total_nodes
-
-    def edge_count(self) -> int:
-        """Terminal edges of the full graph (shards + boundary)."""
-        return (sum(shard.edge_count() for shard in self._shards)
-                + self._boundary.edge_count)
+    def _degree_extrema(self) -> Dict[str, int]:
+        """The true multiplicity-counting extrema, precomputed over the
+        whole input at partition time (boundary edges contribute to
+        boundary nodes' degrees, so no single shard could answer)."""
+        if self._extrema is None:
+            raise QueryError(self._degree_error
+                             or "degree extrema unavailable")
+        return dict(self._extrema)
 
     # ------------------------------------------------------------------
     # Regular path queries / pattern counts
@@ -1021,18 +906,9 @@ class ShardedCompressedGraph(GraphService):
             return self._label_table.get(label)
         return None
 
-    def out_edges(self, node_id: int) -> List[List[int]]:
-        """Labeled outgoing edges as sorted ``[label, target]`` pairs.
-
-        The owning shard's labeled adjacency (shifted into global
-        IDs) merged with the node's outgoing boundary edges — the
-        sharded mirror of :meth:`CompressedGraph.out_edges`.
-        """
-        return self._cache.get_or_compute(
-            ("out_edges", node_id),
-            lambda: self._out_edges_uncached(node_id))
-
     def _out_edges_uncached(self, node_id: int) -> List[List[int]]:
+        """The owning shard's labeled adjacency (shifted into global
+        IDs) merged with the node's outgoing boundary edges."""
         shard = self._owner(node_id)
         base = self._bases[shard]
         inner = self._shards[shard].batch(
@@ -1041,21 +917,13 @@ class ShardedCompressedGraph(GraphService):
         merged.update(self._boundary.out_edges.get(node_id, ()))
         return [list(pair) for pair in sorted(merged)]
 
-    def pattern_count(self, sub_kind: str, *args: Any) -> int:
-        """Labeled pattern counts over the full graph.
-
-        Per-shard grammar-pass counts plus exact boundary
+    def _pattern_count_uncached(self, sub_kind: str,
+                                *args: Any) -> int:
+        """Per-shard grammar-pass counts plus exact boundary
         corrections: boundary edges contribute their own label counts,
         and for ``digram``/``star`` the mixed terms at boundary nodes
         are reconstructed from batched per-node labeled-degree probes
-        (``node_in``/``node_out``) against the owning shards.
-        """
-        return self._cache.get_or_compute(
-            ("pattern_count", sub_kind, *args),
-            lambda: self._pattern_count_uncached(sub_kind, *args))
-
-    def _pattern_count_uncached(self, sub_kind: str,
-                                *args: Any) -> int:
+        (``node_in``/``node_out``) against the owning shards."""
         _validate_pattern_count(sub_kind, args)
         if not self._simple:
             raise QueryError(
@@ -1161,30 +1029,13 @@ class ShardedCompressedGraph(GraphService):
                       - (1 if shard_out >= threshold else 0))
         return total
 
-    def rpq(self, pattern: str, source: int, target: int,
-            from_state: Optional[int] = None,
-            to_state: Optional[int] = None) -> bool:
-        """Does some ``source -> target`` path spell a word of ``pattern``?
-
-        Same contract as :meth:`CompressedGraph.rpq`, evaluated across
-        shards: the owning shard answers same-shard pairs directly;
-        whatever that does not settle takes the cross-shard route of
-        :meth:`_route` with the pattern's DFA — the code path
-        :meth:`reachable` takes with the one-state automaton.
-        """
-        states: Tuple[Any, ...] = ()
-        if to_state is not None:
-            states = (from_state, to_state)
-        elif from_state is not None:
-            states = (from_state,)
-        return self._cache.get_or_compute(
-            ("rpq", _rpq_cache_key(pattern), source, target, *states),
-            lambda: self._rpq_uncached(pattern, source, target,
-                                       from_state, to_state))
-
     def _rpq_uncached(self, pattern: str, source: int, target: int,
                       from_state: Optional[int] = None,
                       to_state: Optional[int] = None) -> bool:
+        """The owning shard answers same-shard pairs directly;
+        whatever that does not settle takes the cross-shard route of
+        :meth:`_route` with the pattern's DFA — the code path
+        :meth:`_reach_uncached` takes with the one-state automaton."""
         if not self._simple:
             raise QueryError(
                 "regular path queries require a simple derived graph; "
@@ -1396,7 +1247,7 @@ class ShardedCompressedGraph(GraphService):
             edges = (((self._label_name(label), successor)
                       for label, successor in self.out_edges(node))
                      if labeled else
-                     zip(repeat(None), self.out_neighbors(node)))
+                     zip(repeat(None), self.out(node)))
             for name, successor in edges:
                 next_state = step(state, name)
                 if next_state is None:
@@ -1412,58 +1263,44 @@ class ShardedCompressedGraph(GraphService):
     # ------------------------------------------------------------------
     # Batched evaluation
     # ------------------------------------------------------------------
-    def batch(self, requests: Iterable[Sequence[Any]],
-              parallel: bool = False,
-              max_workers: Optional[int] = None,
-              executor: Optional[Executor] = None) -> List[Any]:
-        """Evaluate many queries; results come back in request order.
-
-        Same wire format as :meth:`CompressedGraph.batch`.  The
-        sequential path routes request by request.  ``parallel=True``
-        plans the batch: it deduplicates repeated requests,
-        pre-filters the handle's result LRU (hot requests never reach
-        a shard), groups every remaining shard-local request per
-        owning shard — each group is shipped through that shard
-        handle's own ``batch()`` and translated back in one pass —
-        and fans the groups plus the remaining cross-shard requests
-        out across a thread pool, bulk-inserting the answers back
-        into the LRU.  ``executor`` overrides the strategy entirely;
-        the typed :meth:`execute` surface is the one with per-request
-        errors.
-        """
-        if executor is None:
-            executor = (ThreadExecutor(max_workers) if parallel
-                        else InlineExecutor())
-        results = executor.run(self, list(requests), strict=True)
-        return [result.unwrap() for result in results]
-
     #: Neighborhood kinds -> the ``_merged_neighbors`` direction.
     _NEIGHBOR_DIRECTIONS = {QueryKind.OUT: "out", QueryKind.IN: "in",
                             QueryKind.NEIGHBORHOOD: "any"}
 
-    def _uncached_query(self, kind: QueryKind,
-                        args: Tuple[Any, ...]) -> Any:
-        """One typed request, bypassing the result LRU (see
-        :meth:`CompressedGraph._uncached_query`)."""
+    def _uncached_query(self, kind: str, args: Tuple[Any, ...]) -> Any:
+        """Evaluate one query across the shards, bypassing the LRU.
+
+        Per-node queries route to the owning shard and merge that
+        node's boundary edges; ``reach`` and ``rpq`` are planned per
+        query (:meth:`_route`); ``path`` is a BFS over the cached
+        merged :meth:`out`; the counts merge per-shard summaries with
+        the partition-time boundary summary.
+        """
         direction = self._NEIGHBOR_DIRECTIONS.get(kind)
-        if direction is not None or kind is QueryKind.OUT_EDGES:
-            if len(args) != 1:
-                raise TypeError(f"{kind.value}() takes 1 argument "
-                                f"({len(args)} given)")
-            if direction is None:
-                return self._out_edges_uncached(args[0])
-            return self._merged_neighbors(args[0], direction)
-        if kind is QueryKind.REACH:
+        if direction is not None:
+            return self._merged_neighbors(*args, direction)
+        if kind == "reach":
             return self._reach_uncached(*args)
-        if kind is QueryKind.PATH:
+        if kind == "rpq":
+            return self._rpq_uncached(*args)
+        if kind == "out_edges":
+            return self._out_edges_uncached(*args)
+        if kind == "degree":
+            node_id, direction = args
+            if node_id is None:
+                return self._degree_extrema()
+            return self._node_degree(node_id, direction)
+        if kind == "path":
             from repro.queries.traversal import shortest_path
             return shortest_path(self, *args)
-        if kind is QueryKind.RPQ:
-            return self._rpq_uncached(*args)
-        if kind is QueryKind.PATTERN_COUNT:
+        if kind == "pattern_count":
             return self._pattern_count_uncached(*args)
-        from repro.serving.protocol import KIND_METHODS
-        return getattr(self, KIND_METHODS[kind])(*args)
+        if kind == "components":
+            return self._component_count()
+        if kind == "nodes":
+            return self._total_nodes
+        return (sum(shard.edge_count() for shard in self._shards)
+                + self._boundary.edge_count)
 
     def warm(self) -> "ShardedCompressedGraph":
         """Force every shard's lazy structures (see
@@ -1475,7 +1312,7 @@ class ShardedCompressedGraph(GraphService):
             warm = getattr(shard, "warm", None)
             if warm is not None:
                 warm()
-        self.connected_components()
+        self._component_count()
         self.edge_count()
         if (self._simple and not self.closure_built
                 and self._planner.closure_allowed()):
@@ -1627,7 +1464,7 @@ class ShardedCompressedGraph(GraphService):
             def successors(node: int) -> List[int]:
                 known = adjacency.get(node)
                 if known is None:
-                    known = adjacency[node] = self.out_neighbors(node)
+                    known = adjacency[node] = self.out(node)
                 return known
 
             by_source: Dict[int, List[Tuple[int, int]]] = {}

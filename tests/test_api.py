@@ -4,8 +4,9 @@ Covers the acceptance criteria of the API redesign:
 
 * round-trip ``compress -> save -> open -> query -> decompress``
   across every smoke-corpus family,
-* facade query answers match the legacy ``GrammarQueries`` path (and
-  the ground truth on the decompressed graph) exactly,
+* facade query answers match an uncached handle over the same grammar,
+  the grammar-level evaluators and the ground truth on the
+  decompressed graph exactly,
 * the lazy index canonicalizes the grammar exactly once per handle,
   even under concurrent query threads,
 * streaming construction, batching, persistence accounting and the
@@ -30,7 +31,7 @@ from repro import (
 from repro.bench.corpora import SMOKE_CORPORA
 from repro.core.grammar import SLHRGrammar
 from repro.exceptions import GrammarError, QueryError
-from repro.queries import GrammarQueries
+from repro.queries import DegreeQueries
 
 #: Small families for the exhaustive (all-node) equivalence checks.
 _SMALL_BUILDERS = {
@@ -103,35 +104,35 @@ class TestRoundTrip:
 
 
 class TestQueryEquivalence:
-    """Facade answers == legacy GrammarQueries == decompressed truth."""
+    """Facade answers == uncached facade == decompressed truth."""
 
     @pytest.mark.parametrize("family", list(_SMALL_BUILDERS))
     def test_all_nodes_all_queries(self, family):
         graph, alphabet = _SMALL_BUILDERS[family]()
         handle = CompressedGraph.compress(graph, alphabet)
-        legacy = GrammarQueries(handle.grammar)
+        uncached = CompressedGraph.from_grammar(handle.grammar, cache_size=0)
         truth_out, truth_in = _adjacency(handle.decompress())
 
         total = handle.node_count()
-        assert legacy.node_count() == total
+        assert uncached.node_count() == total
         for node in range(1, total + 1):
             expected_out = sorted(truth_out.get(node, ()))
             expected_in = sorted(truth_in.get(node, ()))
             assert handle.out(node) == expected_out
-            assert handle.out(node) == legacy.out_neighbors(node)
+            assert handle.out(node) == uncached.out(node)
             assert handle.in_(node) == expected_in
-            assert handle.in_(node) == legacy.in_neighbors(node)
-            assert handle.neighborhood(node) == legacy.neighbors(node)
-        assert handle.components() == legacy.connected_components()
-        assert handle.edge_count() == legacy.edge_count()
+            assert handle.in_(node) == uncached.in_(node)
+            assert handle.neighborhood(node) == uncached.neighborhood(node)
+        assert handle.components() == uncached.components()
+        assert handle.edge_count() == uncached.edge_count()
         extrema = handle.degree()
-        legacy_degrees = legacy.degrees()
-        assert extrema["max_out"] == legacy_degrees.max_out_degree()
-        assert extrema["min_in"] == legacy_degrees.min_in_degree()
+        grammar_degrees = DegreeQueries(uncached.canonical_grammar)
+        assert extrema["max_out"] == grammar_degrees.max_out_degree()
+        assert extrema["min_in"] == grammar_degrees.min_in_degree()
         for source in range(1, min(total, 6) + 1):
             for target in range(1, min(total, 6) + 1):
                 assert handle.reach(source, target) == \
-                    legacy.reachable(source, target)
+                    uncached.reach(source, target)
 
     def test_path_consistent_with_reach(self):
         graph, alphabet = theta_graph()
@@ -344,15 +345,6 @@ class TestShims:
         assert isinstance(result, CompressionResult)
         assert result.original_edges == graph.num_edges
         assert result.stats["passes"] >= 1
-
-    def test_grammar_queries_matches_facade(self):
-        graph, alphabet = copies_graph(8)
-        handle = CompressedGraph.compress(graph, alphabet)
-        legacy = GrammarQueries(handle.grammar)
-        # Legacy construction is eager: canonical grammar + index.
-        assert legacy.grammar is not handle.grammar
-        assert legacy.index.total_nodes == handle.node_count()
-        assert legacy.out_neighbors(1) == handle.out(1)
 
     def test_decompress_matches_derive_of_canonical(self):
         graph, alphabet = copies_graph(8)

@@ -74,14 +74,14 @@ def _assert_frontier_queries_match(handle, truth, pair_count,
     total = handle.node_count()
     assert total == truth.number_of_nodes()
     for source, target in _probe_pairs(total, pair_count):
-        assert handle.reachable(source, target) == \
+        assert handle.reach(source, target) == \
             _has_path(truth, source, target), (source, target)
     for node in _probe_nodes(total, node_count):
         succ = set(truth.successors(node)) - {node}
         pred = set(truth.predecessors(node)) - {node}
-        assert handle.out_neighbors(node) == sorted(succ), node
-        assert handle.in_neighbors(node) == sorted(pred), node
-        assert handle.neighbors(node) == sorted(succ | pred), node
+        assert handle.out(node) == sorted(succ), node
+        assert handle.in_(node) == sorted(pred), node
+        assert handle.neighborhood(node) == sorted(succ | pred), node
 
 
 def _assert_paths_match(handle, truth, pair_count):

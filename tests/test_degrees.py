@@ -6,9 +6,16 @@ from hypothesis import strategies as st
 
 from helpers import copies_graph, random_simple_graph, star_graph
 
-from repro import Alphabet, Hypergraph, SLHRGrammar, compress, derive
+from repro import (
+    Alphabet,
+    CompressedGraph,
+    Hypergraph,
+    SLHRGrammar,
+    compress,
+    derive,
+)
 from repro.exceptions import QueryError
-from repro.queries import DegreeQueries, GrammarQueries
+from repro.queries import DegreeQueries
 
 
 def _truth_extrema(graph):
@@ -70,8 +77,8 @@ class TestDegreeQueries:
     def test_facade_accessor(self):
         graph, alphabet = star_graph(30)
         result = compress(graph, alphabet)
-        queries = GrammarQueries(result.grammar)
-        assert queries.degrees().max_in_degree() == 30
+        queries = CompressedGraph.from_grammar(result.grammar)
+        assert queries.degree()["max_in"] == 30
 
     def test_hyperedge_terminal_rejected(self):
         alphabet = Alphabet()

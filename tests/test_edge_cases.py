@@ -7,6 +7,7 @@ from helpers import isomorphic
 
 from repro import (
     Alphabet,
+    CompressedGraph,
     GRePairSettings,
     Hypergraph,
     SLHRGrammar,
@@ -16,7 +17,6 @@ from repro import (
 from repro.core.derivation import derive_with_mapping
 from repro.encoding import decode_grammar, encode_grammar
 from repro.exceptions import QueryError
-from repro.queries import GrammarQueries
 from repro.queries.index import GrammarIndex
 
 
@@ -92,13 +92,13 @@ class TestHyperedgeNonterminals:
         graph, alphabet = _hyper_nt_graph()
         result = compress(graph, alphabet,
                           GRePairSettings(max_rank=4, prune=False))
-        queries = GrammarQueries(result.grammar)
+        queries = CompressedGraph.from_grammar(result.grammar)
         val = derive(result.grammar.canonicalize())
         out = {v: set() for v in val.nodes()}
         for _, edge in val.edges():
             out[edge.att[0]].add(edge.att[1])
         for node in val.nodes():
-            assert set(queries.out_neighbors(node)) == out[node]
+            assert set(queries.out(node)) == out[node]
 
     def test_isomorphic_roundtrip(self):
         graph, alphabet = _hyper_nt_graph()
@@ -185,9 +185,9 @@ class TestOddShapes:
                     graph.add_edge(t, (u, v))
         result = compress(graph, alphabet)
         assert isomorphic(derive(result.grammar), graph)
-        queries = GrammarQueries(result.grammar)
-        assert queries.connected_components() == 1
-        assert queries.degrees().max_degree() == 10
+        queries = CompressedGraph.from_grammar(result.grammar)
+        assert queries.components() == 1
+        assert queries.degree()["max"] == 10
 
     def test_long_cycle(self):
         alphabet = Alphabet()
@@ -198,10 +198,10 @@ class TestOddShapes:
             graph.add_edge(t, (node, nodes[(i + 1) % len(nodes)]))
         result = compress(graph, alphabet)
         assert isomorphic(derive(result.grammar), graph)
-        queries = GrammarQueries(result.grammar)
+        queries = CompressedGraph.from_grammar(result.grammar)
         # Every node reaches every node on a directed cycle.
-        assert queries.reachable(1, 200)
-        assert queries.reachable(200, 1)
+        assert queries.reach(1, 200)
+        assert queries.reach(200, 1)
 
     def test_hyperedge_terminal_input(self):
         """Inputs may themselves contain hyperedges (the model allows

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import copies_graph, random_simple_graph
 
-from repro import Alphabet, Hypergraph, compress, derive
+from repro import Alphabet, CompressedGraph, Hypergraph, compress, derive
 from repro.baselines.strrepair import string_repair
 from repro.datasets.strings import (
     balanced_binary_tree,
@@ -18,7 +18,6 @@ from repro.datasets.strings import (
     tree_to_graph,
 )
 from repro.exceptions import DatasetError, QueryError
-from repro.queries import GrammarQueries
 from repro.queries.index import GrammarIndex
 from repro.queries.paths import LabelDFA, RegularPathQueries
 from repro.queries.traversal import (
@@ -103,13 +102,13 @@ class TestRegularPathQueries:
         canonical = result.grammar.canonicalize()
         rpq = RegularPathQueries(GrammarIndex(canonical),
                                  LabelDFA.any_path([label]))
-        queries = GrammarQueries(result.grammar)
+        queries = CompressedGraph.from_grammar(result.grammar)
         val = derive(canonical)
         rng = random.Random(3)
         nodes = sorted(val.nodes())
         for _ in range(150):
             s, t = rng.choice(nodes), rng.choice(nodes)
-            assert rpq.matches(s, t) == queries.reachable(s, t)
+            assert rpq.matches(s, t) == queries.reach(s, t)
 
     def test_label_constrained_vs_networkx(self):
         graph, alphabet = random_simple_graph(6, num_nodes=18,
@@ -173,7 +172,7 @@ class TestTraversal:
         graph, alphabet = random_simple_graph(seed, num_nodes=25,
                                               num_edges=60)
         result = compress(graph, alphabet)
-        queries = GrammarQueries(result.grammar)
+        queries = CompressedGraph.from_grammar(result.grammar)
         val = derive(result.grammar.canonicalize())
         truth = nx.DiGraph()
         truth.add_nodes_from(val.nodes())
@@ -225,7 +224,7 @@ class TestTraversal:
             [(t, (1, 2)), (t, (2, 3)), (t, (3, 1)),   # triangle
              (t, (3, 4)), (t, (4, 5))])
         result = compress(graph, alphabet)
-        queries = GrammarQueries(result.grammar)
+        queries = CompressedGraph.from_grammar(result.grammar)
         assert count_triangles(queries) == 1
 
     def test_out_of_range_source(self):

@@ -12,12 +12,11 @@ import pytest
 
 from helpers import isomorphic
 
-from repro import GRePairSettings, compress, derive
+from repro import CompressedGraph, GRePairSettings, compress, derive
 from repro.baselines import K2Compressor
 from repro.datasets import identical_copies, fig13_base_graph, \
     load_dataset
 from repro.encoding import decode_grammar, encode_grammar
-from repro.queries import GrammarQueries
 
 
 @pytest.mark.parametrize("name", ["ca-grqc", "rdf-types-ru",
@@ -39,7 +38,7 @@ def test_full_pipeline_on_datasets(name):
     assert canonical_val.edge_multiset() == decoded_val.edge_multiset()
 
     # 3. Queries on the decoded grammar agree with the derived graph.
-    queries = GrammarQueries(decoded)
+    queries = CompressedGraph.from_grammar(decoded)
     truth = nx.DiGraph()
     truth.add_nodes_from(decoded_val.nodes())
     for _, edge in decoded_val.edges():
@@ -48,11 +47,11 @@ def test_full_pipeline_on_datasets(name):
     nodes = sorted(truth.nodes())
     for _ in range(25):
         node = rng.choice(nodes)
-        assert queries.out_neighbors(node) == sorted(
+        assert queries.out(node) == sorted(
             truth.successors(node))
     for _ in range(25):
         source, target = rng.choice(nodes), rng.choice(nodes)
-        assert queries.reachable(source, target) == nx.has_path(
+        assert queries.reach(source, target) == nx.has_path(
             truth, source, target)
 
 

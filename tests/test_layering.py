@@ -8,6 +8,10 @@
   name from ``repro.sharding``.
 * There is one boundary closure: ``repro.partition`` exports exactly
   one class whose name ends in ``Closure``.
+* There is one query surface: every handle and client exposes exactly
+  one method per :class:`~repro.serving.QueryKind`, defined once on
+  :class:`~repro.serving.GraphService`, and none of the former
+  spellings or front doors survives.
 """
 
 from __future__ import annotations
@@ -16,8 +20,16 @@ import ast
 import inspect
 from pathlib import Path
 
+import pytest
+
 import repro
 import repro.partition
+import repro.queries
+import repro.serving
+from repro import CompressedGraph, ShardedCompressedGraph
+from repro.serving import GraphClient, GraphService, ReplicatedShard
+from repro.serving import protocol
+from repro.serving.protocol import KIND_METHODS
 
 SRC = Path(repro.__file__).parent
 
@@ -56,3 +68,53 @@ def test_partition_exports_one_closure_class():
                 if name.endswith("Closure")
                 and inspect.isclass(getattr(repro.partition, name))]
     assert closures == ["BoundaryClosure"]
+
+
+#: The one spelling of each query kind.
+_QUERY_NAMES = set(KIND_METHODS.values())
+
+#: Spellings the single surface replaced.
+_FORMER_NAMES = {"out_neighbors", "in_neighbors", "neighbors",
+                 "reachable", "connected_components", "degrees"}
+
+_SURFACES = [CompressedGraph, ShardedCompressedGraph, GraphClient,
+             ReplicatedShard]
+
+
+def test_one_method_per_query_kind():
+    assert len(_QUERY_NAMES) == len(KIND_METHODS) == 12
+
+
+@pytest.mark.parametrize("surface", _SURFACES,
+                         ids=lambda surface: surface.__name__)
+def test_every_surface_exposes_exactly_the_query_names(surface):
+    public = {name for name in dir(surface) if not name.startswith("_")}
+    assert _QUERY_NAMES <= public
+    assert not public & _FORMER_NAMES
+    # Every other public callable is a constructor, persistence,
+    # transport or introspection member, not another query spelling.
+    assert not {name for name in public - _QUERY_NAMES
+                if name.startswith(("out", "in_", "reach", "neighbo",
+                                    "component", "degree"))}
+
+
+@pytest.mark.parametrize("surface", _SURFACES,
+                         ids=lambda surface: surface.__name__)
+def test_query_methods_are_defined_once_on_graph_service(surface):
+    assert _QUERY_NAMES <= set(vars(GraphService))
+    for klass in surface.__mro__:
+        if klass is not GraphService:
+            assert not _QUERY_NAMES & set(vars(klass)), klass
+
+
+def test_no_second_front_door_or_alias_table():
+    # repro.queries exports the grammar evaluators, no query front door.
+    assert sorted(name for name in repro.queries.__all__
+                  if name.endswith("Queries")) == [
+        "ComponentQueries", "DegreeQueries", "NeighborhoodQueries",
+        "ReachabilityQueries"]
+    # One shard link, one kind table.
+    assert [name for name in repro.serving.__all__
+            if name.endswith("Shard")] == ["ReplicatedShard"]
+    assert [name for name in dir(protocol)
+            if name.startswith("KIND_")] == ["KIND_METHODS"]

@@ -23,6 +23,7 @@ from helpers import isomorphic
 
 from repro import (
     Alphabet,
+    CompressedGraph,
     GRePairSettings,
     Hypergraph,
     StreamingCompressor,
@@ -30,7 +31,6 @@ from repro import (
     derive,
 )
 from repro.encoding import decode_grammar, encode_grammar
-from repro.queries import GrammarQueries
 
 _settings = settings(
     max_examples=25,
@@ -147,7 +147,7 @@ def test_grammar_invariants_hold(data):
 def test_queries_match_ground_truth(data, probe_seed):
     graph, alphabet = data
     result = compress(graph, alphabet)
-    queries = GrammarQueries(result.grammar)
+    queries = CompressedGraph.from_grammar(result.grammar)
     val = derive(result.grammar.canonicalize())
     truth = nx.DiGraph()
     truth.add_nodes_from(val.nodes())
@@ -157,15 +157,15 @@ def test_queries_match_ground_truth(data, probe_seed):
     nodes = sorted(truth.nodes())
     for _ in range(10):
         node = rng.choice(nodes)
-        assert queries.out_neighbors(node) == sorted(
+        assert queries.out(node) == sorted(
             truth.successors(node))
-        assert queries.in_neighbors(node) == sorted(
+        assert queries.in_(node) == sorted(
             truth.predecessors(node))
     for _ in range(10):
         source, target = rng.choice(nodes), rng.choice(nodes)
-        assert queries.reachable(source, target) == nx.has_path(
+        assert queries.reach(source, target) == nx.has_path(
             truth, source, target)
-    assert queries.connected_components() == \
+    assert queries.components() == \
         nx.number_connected_components(truth.to_undirected())
 
 

@@ -9,15 +9,14 @@ import pytest
 from helpers import copies_graph, random_simple_graph, star_graph, \
     theta_graph
 
-from repro import GRePairSettings, compress, derive
+from repro import CompressedGraph, GRePairSettings, compress, derive
 from repro.exceptions import QueryError
-from repro.queries import GrammarQueries
 from repro.queries.index import GrammarIndex
 
 
 def _queries_and_truth(graph, alphabet, settings=None):
     result = compress(graph, alphabet, settings or GRePairSettings())
-    queries = GrammarQueries(result.grammar)
+    queries = CompressedGraph.from_grammar(result.grammar)
     val = derive(result.grammar.canonicalize())
     truth = nx.DiGraph()
     truth.add_nodes_from(val.nodes())
@@ -71,13 +70,13 @@ class TestNeighborhood:
         graph, alphabet = builder()
         queries, truth, _ = _queries_and_truth(graph, alphabet)
         for node in truth.nodes():
-            assert queries.out_neighbors(node) == sorted(
+            assert queries.out(node) == sorted(
                 truth.successors(node))
-            assert queries.in_neighbors(node) == sorted(
+            assert queries.in_(node) == sorted(
                 truth.predecessors(node))
             undirected = set(truth.successors(node)) | set(
                 truth.predecessors(node))
-            assert queries.neighbors(node) == sorted(undirected)
+            assert queries.neighborhood(node) == sorted(undirected)
 
     def test_neighbors_without_prune(self):
         """Deep grammars (no pruning) exercise long getID paths."""
@@ -85,7 +84,7 @@ class TestNeighborhood:
         queries, truth, _ = _queries_and_truth(
             graph, alphabet, GRePairSettings(prune=False))
         for node in truth.nodes():
-            assert queries.out_neighbors(node) == sorted(
+            assert queries.out(node) == sorted(
                 truth.successors(node))
 
 
@@ -103,13 +102,13 @@ class TestReachability:
         for _ in range(400):
             source = rng.choice(nodes)
             target = rng.choice(nodes)
-            assert queries.reachable(source, target) == nx.has_path(
+            assert queries.reach(source, target) == nx.has_path(
                 truth, source, target), (source, target)
 
     def test_self_reachability(self):
         graph, alphabet = theta_graph()
         queries, _, _ = _queries_and_truth(graph, alphabet)
-        assert queries.reachable(1, 1)
+        assert queries.reach(1, 1)
 
     def test_within_one_deep_instance(self):
         """Both endpoints inside the same derived block."""
@@ -121,7 +120,7 @@ class TestReachability:
         block = [last - i for i in range(4)]
         for source in block:
             for target in block:
-                assert queries.reachable(source, target) == nx.has_path(
+                assert queries.reach(source, target) == nx.has_path(
                     truth, source, target)
 
     def test_exhaustive_on_small_graph(self):
@@ -130,7 +129,7 @@ class TestReachability:
         queries, truth, _ = _queries_and_truth(graph, alphabet)
         for source in truth.nodes():
             for target in truth.nodes():
-                assert queries.reachable(source, target) == nx.has_path(
+                assert queries.reach(source, target) == nx.has_path(
                     truth, source, target)
 
 
@@ -145,7 +144,7 @@ class TestComponents:
         graph, alphabet = builder()
         queries, truth, _ = _queries_and_truth(graph, alphabet)
         expected = nx.number_connected_components(truth.to_undirected())
-        assert queries.connected_components() == expected
+        assert queries.components() == expected
 
     def test_isolated_nodes_counted(self):
         from repro import Alphabet, Hypergraph
@@ -153,7 +152,7 @@ class TestComponents:
         t = alphabet.add_terminal(2, "t")
         graph = Hypergraph.from_edges([(t, (1, 2))], num_nodes=5)
         queries, _, _ = _queries_and_truth(graph, alphabet)
-        assert queries.connected_components() == 4
+        assert queries.components() == 4
 
 
 class TestEngineOracle:
@@ -185,7 +184,7 @@ class TestEngineOracle:
             source = rng.choice(nodes)
             target = rng.choice(nodes)
             expected = nx.has_path(truth, source, target)
-            assert queries.reachable(source, target) == expected, (
+            assert queries.reach(source, target) == expected, (
                 engine, source, target)
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -195,9 +194,9 @@ class TestEngineOracle:
         queries, truth, _ = _queries_and_truth(
             graph, alphabet, GRePairSettings(engine=engine))
         for node in truth.nodes():
-            assert queries.out_neighbors(node) == sorted(
+            assert queries.out(node) == sorted(
                 truth.successors(node))
-            assert queries.in_neighbors(node) == sorted(
+            assert queries.in_(node) == sorted(
                 truth.predecessors(node))
 
     def test_engines_agree_on_global_answers(self):
@@ -210,7 +209,7 @@ class TestEngineOracle:
             answers[engine] = (
                 queries.node_count(),
                 queries.edge_count(),
-                queries.connected_components(),
+                queries.components(),
                 nx.number_connected_components(truth.to_undirected()),
             )
         assert answers["incremental"] == answers["recount"]
@@ -227,6 +226,6 @@ class TestCounts:
         """Counts agree with the grammar's derived_counts arithmetic."""
         graph, alphabet = star_graph(128)
         result = compress(graph, alphabet)
-        queries = GrammarQueries(result.grammar)
+        queries = CompressedGraph.from_grammar(result.grammar)
         assert queries.node_count() == 129
         assert queries.edge_count() == 128

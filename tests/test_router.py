@@ -1,4 +1,4 @@
-"""The socket deployment: GraphServer, GraphClient, RemoteShard.
+"""The socket deployment: GraphServer, GraphClient, ReplicatedShard.
 
 Executor-level conformance lives in ``test_executors.py``; this file
 covers the deployment surface itself — lifecycle, liveness, info,
@@ -390,7 +390,7 @@ class TestRouterCache:
     def test_router_lru_absorbs_hot_traffic(self, sharded_bytes):
         """Repeated remote batches are answered by the router's LRU
         without another shard round trip (the cache-aware planner in
-        front of RemoteShard links)."""
+        front of ReplicatedShard links)."""
         _, blob = sharded_bytes
         with serve(blob) as running:
             with running.connect() as client:

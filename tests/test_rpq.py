@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 
 import pytest
 
@@ -38,8 +39,8 @@ from repro.encoding.container import (
 from repro.exceptions import EncodingError, QueryError
 from repro.partition import BoundaryClosure, ReachPlanner
 from repro.rpq import cache_key, compile_pattern
-from repro.rpq.regex import PatternDFA
-from repro.serving import GraphServer
+from repro.rpq.regex import MAX_DFA_STATES, MAX_PATTERN_LENGTH, PatternDFA
+from repro.serving import GraphServer, connect
 from repro.serving.protocol import QueryKind, QueryRequest
 
 from helpers import exploding_build, truth_graph, truth_rpq
@@ -121,6 +122,24 @@ class TestRegexFrontEnd:
         dfa = compile_pattern("<rdf:type|odd name>+")
         assert dfa.accepts(["rdf:type|odd name"])
         assert not dfa.accepts(["rdf:type"])
+
+    def test_subset_construction_is_capped(self):
+        # (a|b)* a (a|b)^n needs 2**(n+1) subset states: n = 8 fits
+        # under the cap, n = 14 (the 92-character bomb) does not and
+        # is abandoned as soon as the cap is passed.
+        assert compile_pattern("(a|b)* a" + " (a|b)" * 8).num_states \
+            == 2 ** 9
+        bomb = "(a|b)* a" + " (a|b)" * 14
+        start = time.perf_counter()
+        with pytest.raises(QueryError, match=f"{MAX_DFA_STATES} "
+                                             "automaton states"):
+            compile_pattern(bomb)
+        assert time.perf_counter() - start < 1.0
+
+    def test_pattern_length_is_capped(self):
+        with pytest.raises(QueryError, match="characters long"):
+            compile_pattern("a" * (MAX_PATTERN_LENGTH + 1))
+        assert cache_key("a" * (MAX_PATTERN_LENGTH + 1))[0] == "raw"
 
     @pytest.mark.parametrize("left,right", [
         ("a|b", "b|a"),
@@ -586,6 +605,25 @@ class TestServedRPQ:
                 values = [result.unwrap()
                           for result in future.result(60)]
                 assert values == truth
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    def test_pattern_bomb_is_a_fast_per_request_error(self, deployment,
+                                                      codec):
+        """The n = 14 subset-construction bomb comes back as the typed
+        error, fast, and its neighbour in the batch is answered."""
+        sharded, _, servers = deployment
+        bomb = "(a|b)* a" + " (a|b)" * 14
+        with connect(servers[codec].endpoint, codec=codec) as client:
+            start = time.perf_counter()
+            results = client.execute([("rpq", bomb, 1, 2), ("nodes",)])
+            elapsed = time.perf_counter() - start
+        assert not results[0].ok
+        assert "automaton states" in results[0].error
+        with pytest.raises(QueryError, match="automaton states"):
+            results[0].unwrap()
+        assert results[1].value == sharded.node_count()
+        assert elapsed < 1.0
 
     @pytest.mark.timeout(120)
     def test_served_errors_match_in_process(self, deployment):

@@ -2,7 +2,8 @@
 
 Covers the serving substrate in isolation from sockets and processes:
 
-* request normalization (typed objects, legacy tuples, every alias);
+* request normalization (typed objects, ``(kind, *args)`` tuples, one
+  spelling per kind);
 * the planner — dedup, unhashable arguments, cache pre-filtering and
   bulk insertion (the cache-aware-planning satellite, asserted via
   ``cache_info`` counters on both handle types);
@@ -64,8 +65,19 @@ class TestNormalize:
         ("node_count", QueryKind.NODES),
         ("edge_count", QueryKind.EDGES),
     ])
-    def test_every_alias(self, alias, kind):
-        assert normalize_request((alias, 1)).kind is kind
+    def test_one_spelling_per_kind(self, alias, kind):
+        """A kind's own value is its only wire spelling; the former
+        method-name aliases are unknown kinds."""
+        if alias == kind.value:
+            assert normalize_request((alias, 1)).kind is kind
+        else:
+            with pytest.raises(QueryError, match="unknown batch query"):
+                normalize_request((alias, 1))
+
+    @pytest.mark.parametrize("kind", [["x"], {"k": 1}, None, 7])
+    def test_unhashable_or_foreign_kind_is_a_query_error(self, kind):
+        with pytest.raises(QueryError, match="unknown batch query"):
+            normalize_request((kind, 1))
 
     def test_typed_request_passes_through(self):
         request = QueryRequest(QueryKind.OUT, (3,), id=7)
@@ -252,6 +264,17 @@ class TestErrorChannel:
         assert not results[1].ok and "direction" in results[1].error
         assert results[2].ok and results[2].value == \
             sharded.edge_count()
+
+    @pytest.mark.parametrize("kind", [["x"], {"k": 1}])
+    def test_unhashable_kind_errors_alone(self, handle, kind):
+        """An unhashable kind used to escape ``execute`` as a
+        ``TypeError`` from the alias lookup, aborting the batch."""
+        results = handle.execute([(kind, 1), ("out", 1)])
+        assert not results[0].ok
+        assert "unknown batch query kind" in results[0].error
+        assert results[1].ok and results[1].value == handle.out(1)
+        with pytest.raises(QueryError, match="unknown batch query"):
+            handle.batch([(kind, 1), ("out", 1)])
 
     def test_unwrap_raises_query_error(self):
         result = QueryResult(id=0, error="boom")

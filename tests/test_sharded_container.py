@@ -118,8 +118,8 @@ class TestRoundtrip:
         assert reopened.num_shards == handle.num_shards
         assert reopened.node_count() == handle.node_count()
         assert reopened.edge_count() == handle.edge_count()
-        assert (reopened.connected_components()
-                == handle.connected_components())
+        assert (reopened.components()
+                == handle.components())
         assert reopened.degree() == handle.degree()
         total = handle.node_count()
         rng = random.Random(41)

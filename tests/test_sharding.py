@@ -205,8 +205,8 @@ class TestDifferentialOnSmokeCorpora:
         # -- ID-free lane: exact equality with the unsharded handle --
         assert sharded.node_count() == unsharded.node_count()
         assert sharded.edge_count() == unsharded.edge_count()
-        assert (sharded.connected_components()
-                == unsharded.connected_components())
+        assert (sharded.components()
+                == unsharded.components())
         assert sharded.degree() == unsharded.degree()
 
         total = sharded.node_count()
@@ -221,7 +221,7 @@ class TestDifferentialOnSmokeCorpora:
         assert val.node_size == graph.node_size
         assert val.num_edges == graph.num_edges
         out, into, anyn = adjacency(val)
-        assert component_count(anyn) == unsharded.connected_components()
+        assert component_count(anyn) == unsharded.components()
 
         rng = random.Random(17)
         sample = rng.sample(range(1, total + 1), min(total, 50))
@@ -258,16 +258,16 @@ class TestShardCountsAndPartitioners:
         assert sharded.num_shards == shards
         assert sharded.node_count() == unsharded.node_count()
         assert sharded.edge_count() == unsharded.edge_count()
-        assert (sharded.connected_components()
-                == unsharded.connected_components())
+        assert (sharded.components()
+                == unsharded.components())
         assert sharded.degree() == unsharded.degree()
 
     @pytest.mark.parametrize("corpus", ["version-copies", "rdf-types"])
     def test_connectivity_partitioner_differential(self, corpus):
         graph, unsharded, sharded = _build(corpus, 4, "connectivity")
         assert sharded.boundary_edge_count == 0
-        assert (sharded.connected_components()
-                == unsharded.connected_components())
+        assert (sharded.components()
+                == unsharded.components())
         val = sharded.decompress()
         out, into, anyn = adjacency(val)
         total = sharded.node_count()
@@ -345,7 +345,7 @@ class TestCrossShardMechanics:
 
     def test_components_merge_across_shards(self):
         handle = self._two_shard_chain()
-        assert handle.connected_components() == 1
+        assert handle.components() == 1
 
     def test_out_of_range_ids_raise(self):
         handle = self._two_shard_chain()
@@ -418,5 +418,5 @@ class TestDegreeEdgeCases:
         handle = ShardedCompressedGraph.compress(graph, alphabet,
                                                  shards=3)
         assert handle.node_count() == 5
-        assert handle.connected_components() == 4
+        assert handle.components() == 4
         assert handle.degree()["min"] == 0
