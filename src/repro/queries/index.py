@@ -95,8 +95,7 @@ class GrammarIndex:
     # ------------------------------------------------------------------
     def locate(self, node_id: int) -> GRepresentation:
         """G-representation of ``node_id`` (``O(log l + h)``)."""
-        if (not isinstance(node_id, int) or isinstance(node_id, bool)
-                or not 1 <= node_id <= self.total_nodes):
+        if type(node_id) is not int or not 1 <= node_id <= self.total_nodes:
             raise QueryError(
                 f"node ID {node_id} out of range 1..{self.total_nodes}"
             )

@@ -761,7 +761,7 @@ class ShardedCompressedGraph(GraphService):
     # ------------------------------------------------------------------
     def _owner(self, node_id: int) -> int:
         """Shard index owning a global node ID."""
-        if (not isinstance(node_id, int) or isinstance(node_id, bool)
+        if (type(node_id) is not int
                 or not 1 <= node_id <= self._total_nodes):
             raise QueryError(
                 f"node ID {node_id} out of range 1..{self._total_nodes}"
