@@ -4,7 +4,7 @@ The §V query methods are defined once, on
 :class:`repro.serving.GraphService`; every surface supplies only its
 ``_uncached_query``.  This lane sends one request list — every kind,
 malformed arities, bad nodes and arguments, and every former alias
-spelling — through five surfaces:
+spelling — through five surfaces, inline and planned:
 
 * :class:`CompressedGraph`;
 * :class:`ShardedCompressedGraph` with one shard, and with two
@@ -30,7 +30,7 @@ from helpers import truth_graph, truth_rpq
 from repro import CompressedGraph, ShardedCompressedGraph
 from repro.bench.corpora import SMOKE_CORPORA
 from repro.rpq import compile_pattern
-from repro.serving import connect, serve
+from repro.serving import InlineExecutor, ThreadExecutor, connect, serve
 
 PATTERN = "(prop/3|prop/13)* prop/17"
 
@@ -145,14 +145,18 @@ def _truth(handle, request):
     return truth_rpq(graph, compile_pattern(args[0]), *args[1:])
 
 
+@pytest.mark.parametrize("executor", [InlineExecutor, ThreadExecutor])
 @pytest.mark.parametrize("name", _SURFACES)
-def test_every_request_answers_alike(surfaces, name):
+def test_every_request_answers_alike(surfaces, name, executor):
+    """Inline runs each request through its method; the planned
+    thread path dedups, pre-filters the LRU and calls
+    ``_uncached_query`` (per owning shard on a sharded handle)."""
     reference = surfaces["unsharded"]
     surface = surfaces[name]
     rows = _requests(reference)
     requests = [request for request, _ in rows]
     expected = reference.execute(requests)
-    got = surface.execute(requests)
+    got = executor().run(surface, requests)
     assert len(got) == len(rows)
     shifted = name == "sharded-k2-bfs"
     for (request, names_nodes), want, have in zip(rows, expected, got):
