@@ -503,14 +503,8 @@ class CompressedGraph(GraphService):
         if kind == "out_edges":
             return [list(pair) for pair in
                     self._queries().neighborhood.out_edges(*args)]
-        if kind == "degree":
-            node_id, direction = args
-            if node_id is None:
-                return self._degree_extrema()
-            return self._node_degree(node_id, direction)
-        if kind == "path":
-            from repro.queries.traversal import shortest_path
-            return shortest_path(self, *args)
+        if kind == "degree" or kind == "path":
+            return self._derived_query(kind, args)
         if kind == "pattern_count":
             return self._pattern_counts().count(*args)
         if kind == "components":

@@ -123,11 +123,6 @@ class QueryKind(str, Enum):
     OUT_EDGES = "out_edges"
 
 
-#: spelling -> kind: ``QueryKind(name)`` as a plain dict lookup, which
-#: costs a tenth of the enum call on the per-request planning path.
-_KIND_BY_VALUE: Dict[str, QueryKind] = {kind.value: kind
-                                        for kind in QueryKind}
-
 #: kind -> the one :class:`GraphService` method answering it; only
 #: ``in`` (a Python keyword), ``nodes`` and ``edges`` differ from the
 #: kind's own spelling.
@@ -160,14 +155,27 @@ CACHEABLE_KINDS = frozenset({
 })
 
 
+#: The types query arguments have: node IDs and counts are ``int``,
+#: patterns, labels and directions ``str``, omitted options ``None``.
+_PLAIN_ARG_TYPES = frozenset({int, str, type(None)})
+
+
 def query_key(kind: str, args: Tuple[Any, ...]) -> Tuple[Any, ...]:
     """The LRU key of one query: the kind, then its arguments.
 
     RPQ keys canonicalize the pattern text through the regex front
     end's minimized-DFA form, so equivalent patterns (``a|b`` /
     ``b|a``) share one cache entry wherever they are asked —
-    single-shot, batched, or over the socket.
+    single-shot, batched, or over the socket.  An argument of any
+    other type is keyed with its type: ``True`` and ``1.0`` compare
+    and hash equal to ``1``, yet are no node ID, so they must not share
+    node 1's cached or deduplicated answer (evaluation rejects them).
     """
+    for arg in args:
+        if type(arg) not in _PLAIN_ARG_TYPES:
+            args = tuple(arg if type(arg) in _PLAIN_ARG_TYPES
+                         else (type(arg), arg) for arg in args)
+            break
     if kind == "rpq" and args:
         from repro.rpq.regex import cache_key
         return ("rpq", cache_key(args[0]), *args[1:])
@@ -248,14 +256,12 @@ def normalize_request(request: Union[QueryRequest, Sequence[Any]],
         raise QueryError("empty batch request")
     kind_name, *args = request
     try:
-        kind = _KIND_BY_VALUE.get(kind_name)
-    except TypeError:  # unhashable: no kind's spelling either
-        kind = None
-    if kind is None:
+        kind = QueryKind(kind_name)
+    except (ValueError, TypeError):  # unhashable kinds included
         raise QueryError(
             f"unknown batch query kind {kind_name!r}; expected one "
-            f"of {sorted(_KIND_BY_VALUE)}"
-        )
+            f"of {sorted(kind.value for kind in QueryKind)}"
+        ) from None
     return QueryRequest(kind, tuple(args), request_id)
 
 
@@ -367,7 +373,9 @@ class GraphService:
     return it gains the query methods, :meth:`execute` (typed requests
     in, per-request results out, pluggable executor), :meth:`batch`
     and the cache counters — so an unsharded handle, a sharded one and
-    a socket client are interchangeable by construction.
+    a socket client are interchangeable by construction.  The
+    in-process handles also share :meth:`_derived_query`; transports
+    may ship ``execute``/``batch`` whole, with the same parameters.
     """
 
     #: The surface's query-result LRU; ``None`` where answers are not
@@ -421,8 +429,16 @@ class GraphService:
         """
         return self._query("degree", node_id, direction)
 
-    def _node_degree(self, node_id: int, direction: str) -> int:
-        """Distinct neighbours of one node, through the cached methods."""
+    def _derived_query(self, kind: str, args: Tuple[Any, ...]) -> Any:
+        """``degree`` and ``path`` on an in-process handle: derived from
+        its cached neighbourhood methods, and from its
+        ``_degree_extrema()`` for ``degree()`` without a node."""
+        if kind == "path":
+            from repro.queries.traversal import shortest_path
+            return shortest_path(self, *args)
+        node_id, direction = args
+        if node_id is None:
+            return self._degree_extrema()
         if direction == "out":
             return len(self.out(node_id))
         if direction == "in":
@@ -534,18 +550,19 @@ class GraphService:
 
     @property
     def cache_info(self) -> Dict[str, Any]:
-        """LRU counters: capacity, size, hits, misses, evictions."""
-        return self._cache.info()
+        """LRU counters: capacity, size, hits, misses, evictions
+        (empty when the surface keeps no LRU)."""
+        return {} if self._cache is None else self._cache.info()
 
     @property
     def cache_hits(self) -> int:
         """Queries answered from the result LRU."""
-        return self._cache.hits
+        return 0 if self._cache is None else self._cache.hits
 
     @property
     def cache_misses(self) -> int:
         """Queries that fell through to evaluation."""
-        return self._cache.misses
+        return 0 if self._cache is None else self._cache.misses
 
 
 class _ArgumentRecorder:

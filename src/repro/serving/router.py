@@ -511,12 +511,15 @@ class GraphClient(GraphService):
 
     # -- typed ---------------------------------------------------------
     def execute(self, requests: Sequence[Union[QueryRequest,
-                                               Sequence[Any]]]
+                                               Sequence[Any]]],
+                executor: Optional[Executor] = None
                 ) -> List[QueryResult]:
         """Ship a batch; one :class:`QueryResult` per request, in order.
 
         Per-request error semantics hold across the wire: a malformed
         or failing request errors alone, everything else is answered.
+        The server plans and executes the frame, so ``executor`` is
+        accepted for :class:`GraphService` parity and ignored.
         """
         if self.pipeline:
             return self._with_retries(
@@ -558,8 +561,15 @@ class GraphClient(GraphService):
         inner.add_done_callback(settle)
         return done
 
-    def batch(self, requests: Sequence[Sequence[Any]]) -> List[Any]:
-        """One frame, values in request order; raises the first error."""
+    def batch(self, requests: Sequence[Sequence[Any]],
+              parallel: bool = False,
+              max_workers: Optional[int] = None,
+              executor: Optional[Executor] = None) -> List[Any]:
+        """One frame, values in request order; raises the first error.
+
+        The server plans the frame, so ``parallel``, ``max_workers``
+        and ``executor`` are accepted for parity and ignored.
+        """
         return [result.unwrap() for result in self.execute(requests)]
 
     def query(self, kind: str, *args: Any) -> Any:
@@ -740,11 +750,15 @@ class ReplicatedShard(GraphService):
                 executor: Optional[Executor] = None
                 ) -> List[QueryResult]:
         """The whole batch in one frame to one replica (the shard
-        server plans and executes it)."""
+        server plans and executes it; ``executor`` is ignored)."""
         return self._attempt(lambda client: client.execute(requests))
 
-    def batch(self, requests: Sequence[Sequence[Any]]) -> List[Any]:
-        """One frame, values in order; raises the first error."""
+    def batch(self, requests: Sequence[Sequence[Any]],
+              parallel: bool = False,
+              max_workers: Optional[int] = None,
+              executor: Optional[Executor] = None) -> List[Any]:
+        """One frame, values in order; raises the first error (the
+        planning arguments are ignored, as on :class:`GraphClient`)."""
         return self._attempt(lambda client: client.batch(requests))
 
     def _uncached_query(self, kind: str, args: Tuple[Any, ...]) -> Any:

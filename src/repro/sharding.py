@@ -1285,14 +1285,8 @@ class ShardedCompressedGraph(GraphService):
             return self._rpq_uncached(*args)
         if kind == "out_edges":
             return self._out_edges_uncached(*args)
-        if kind == "degree":
-            node_id, direction = args
-            if node_id is None:
-                return self._degree_extrema()
-            return self._node_degree(node_id, direction)
-        if kind == "path":
-            from repro.queries.traversal import shortest_path
-            return shortest_path(self, *args)
+        if kind == "degree" or kind == "path":
+            return self._derived_query(kind, args)
         if kind == "pattern_count":
             return self._pattern_count_uncached(*args)
         if kind == "components":
@@ -1344,7 +1338,7 @@ class ShardedCompressedGraph(GraphService):
         answer exactly, else ``None``."""
         local_kind = self._LOCAL_KINDS.get(kind)
         if local_kind is not None:
-            if not args or not isinstance(args[0], int):
+            if not args or type(args[0]) is not int:
                 return None
             node = args[0]
             if not 1 <= node <= self._total_nodes:
@@ -1359,7 +1353,7 @@ class ShardedCompressedGraph(GraphService):
             local_kind, head = pair_kind
             if (len(args) == head + 2
                     and all(isinstance(arg, str) for arg in args[:head])
-                    and all(isinstance(arg, int) for arg in args[head:])):
+                    and all(type(arg) is int for arg in args[head:])):
                 source, target = args[head:]
                 if not (1 <= source <= self._total_nodes
                         and 1 <= target <= self._total_nodes):
@@ -1406,7 +1400,7 @@ class ShardedCompressedGraph(GraphService):
             args = request.args
             if (request.kind is QueryKind.REACH and self._simple
                     and len(args) == 2
-                    and all(isinstance(arg, int)
+                    and all(type(arg) is int
                             and 1 <= arg <= self._total_nodes
                             for arg in args)):
                 # Only the dense-boundary regime benefits from the

@@ -103,6 +103,17 @@ def test_query_methods_are_defined_once_on_graph_service(surface):
             assert not _QUERY_NAMES & set(vars(klass)), klass
 
 
+@pytest.mark.parametrize("surface", _SURFACES,
+                         ids=lambda surface: surface.__name__)
+def test_batch_surface_keeps_the_graph_service_signature(surface):
+    """A surface may ship ``execute``/``batch`` its own way, but takes
+    the same arguments, so the surfaces stay interchangeable."""
+    for name in ("execute", "batch"):
+        assert (list(inspect.signature(getattr(surface, name)).parameters)
+                == list(inspect.signature(
+                    getattr(GraphService, name)).parameters)), name
+
+
 def test_no_second_front_door_or_alias_table():
     # repro.queries exports the grammar evaluators, no query front door.
     assert sorted(name for name in repro.queries.__all__

@@ -28,6 +28,7 @@ from repro.serving import (
     QueryKind,
     QueryRequest,
     QueryResult,
+    ThreadExecutor,
     WireError,
     normalize_request,
     plan_batch,
@@ -275,6 +276,29 @@ class TestErrorChannel:
         assert results[1].ok and results[1].value == handle.out(1)
         with pytest.raises(QueryError, match="unknown batch query"):
             handle.batch([(kind, 1), ("out", 1)])
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("lookalike", [True, 1.0])
+    def test_int_lookalike_node_is_rejected_even_when_1_is_cached(
+            self, handle, sharded, lookalike, parallel):
+        """``True`` and ``1.0`` hash equal to ``1`` but are no node ID:
+        neither node 1's cached answer nor batch dedup may stand in for
+        them, and on a sharded handle the planned path answers them per
+        request instead of aborting the batch."""
+        for surface in (handle, sharded):
+            surface.out(1)
+            with pytest.raises(QueryError, match="out of range"):
+                surface.out(lookalike)
+            requests = [("out", 1), ("out", lookalike),
+                        ("reach", lookalike, 2), ("degree", lookalike),
+                        ("reach", 1, 2)]
+            results = surface.execute(
+                requests, executor=ThreadExecutor() if parallel else None)
+            assert [result.ok for result in results] == [
+                True, False, False, False, True]
+            assert all("out of range" in result.error
+                       for result in results[1:4])
+            assert results[0].value == surface.out(1)
 
     def test_unwrap_raises_query_error(self):
         result = QueryResult(id=0, error="boom")

@@ -100,6 +100,9 @@ def _requests(handle):
         (("reach", 1, total + 7), False),
         (("out", "x"), False),
         (("rpq", PATTERN, 1, "x"), False),
+        (("out", True), False),
+        (("reach", True, 2), False),
+        (("degree", True, "in"), False),
         (("degree", 1, "sideways"), False),
         (("rpq", "(prop/3", 1, 2), False),
         (("pattern_count", "bogus", "prop/3"), False),
@@ -187,3 +190,9 @@ def test_single_shot_methods_match_execute(surfaces):
     assert client.rpq(PATTERN, 1, 2) == local.rpq(PATTERN, 1, 2)
     assert client.pattern_count("label", "prop/3") == \
         local.pattern_count("label", "prop/3")
+    # GraphService's batch arguments are accepted (the server plans);
+    # the client keeps no LRU, so its counters read empty.
+    assert client.batch([("out", 1), ("nodes",)], parallel=True) == \
+        local.batch([("out", 1), ("nodes",)], parallel=True)
+    assert (client.cache_info, client.cache_hits,
+            client.cache_misses) == ({}, 0, 0)
