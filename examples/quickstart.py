@@ -111,23 +111,15 @@ def main():
     print(f"batch answers:              {answers}")
 
     # ------------------------------------------------------------------
-    # 6. Engines.  The default "incremental" engine maintains the
-    #    digram occurrence lists and the bucket priority queue purely
-    #    by local deltas: after one initial counting pass it never
-    #    re-counts the graph (stats["recount_passes"] == 0).  The
-    #    legacy "recount" engine re-runs full counting passes between
-    #    replacements and serves as a correctness/quality oracle.
+    # 6. The engine.  gRePair maintains the digram occurrence lists
+    #    and the bucket priority queue purely by local deltas: after
+    #    one counting pass per phase (the main loop, then the
+    #    virtual-edge pass) it never re-counts the graph.
     # ------------------------------------------------------------------
-    incremental = CompressedGraph.compress(
-        graph, alphabet, GRePairSettings(engine="incremental"))
-    recount = CompressedGraph.compress(
-        graph, alphabet, GRePairSettings(engine="recount"))
-    print(f"incremental engine: |G|={incremental.grammar.size}, "
-          f"passes={incremental.stats['passes']}, "
-          f"re-counts={incremental.stats['recount_passes']}")
-    print(f"recount engine:     |G|={recount.grammar.size}, "
-          f"passes={recount.stats['passes']}, "
-          f"re-counts={recount.stats['recount_passes']}")
+    print(f"engine:             |G|={handle.grammar.size}, "
+          f"passes={handle.stats['passes']}, "
+          f"re-counts={handle.stats['recount_passes']}")
+    assert handle.stats["recount_passes"] == 0
 
     # ------------------------------------------------------------------
     # 7. Streaming compression.  Edges can be fed in chunks; the

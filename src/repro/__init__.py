@@ -31,11 +31,11 @@ Public API highlights
     dispatches on the file magic).
 ``repro.serving`` (``serve`` / ``connect`` / the executors)
     The typed query protocol: ``QueryRequest``/``QueryResult`` with
-    per-request errors (``handle.execute(...)``), pluggable executors
-    (``InlineExecutor``, ``ThreadExecutor``, ``ProcessExecutor``,
-    ``SocketExecutor``), and the socket deployment — ``serve()`` runs
-    one process per shard behind a router speaking a framed
-    JSON-or-binary wire codec; ``connect()`` is the client.
+    per-request errors (``handle.execute(...)``), two executors
+    (``InlineExecutor``, ``ThreadExecutor``), and the socket
+    deployment — ``serve()`` runs one process per shard behind a
+    router speaking length-prefixed JSON frames; ``connect()`` is the
+    client.
 ``repro.rpq`` (``compile_pattern`` / ``PatternDFA``)
     Regular path queries over the compressed form: a regex over edge
     labels compiles to a canonical minimized DFA, evaluated via
@@ -48,9 +48,8 @@ Public API highlights
     The directed edge-labeled hypergraph data model.
 ``GRePairSettings`` / ``CompressionResult``
     Algorithm parameters (validated eagerly) and per-run statistics.
-    ``GRePairSettings(engine=...)`` selects the occurrence-maintenance
-    engine: ``"incremental"`` (default; no re-count passes) or
-    ``"recount"`` (legacy full-recount oracle).
+    Occurrences are maintained incrementally: after one counting pass
+    per phase, no full re-count pass runs (``recount_passes == 0``).
 
 Compatibility shims (predating the facade, delegating to it)
 ------------------------------------------------------------
@@ -70,17 +69,14 @@ from repro.serving import (
     GraphClient,
     GraphServer,
     InlineExecutor,
-    ProcessExecutor,
     QueryKind,
     QueryRequest,
     QueryResult,
-    SocketExecutor,
     ThreadExecutor,
     connect,
     serve,
 )
 from repro.core import (
-    ENGINES,
     Alphabet,
     CompressionResult,
     CompressionStats,
@@ -104,7 +100,6 @@ __all__ = [
     "CompressedGraph",
     "CompressionResult",
     "CompressionStats",
-    "ENGINES",
     "Edge",
     "GRePair",
     "GRePairSettings",
@@ -113,14 +108,12 @@ __all__ = [
     "Hypergraph",
     "InlineExecutor",
     "PatternDFA",
-    "ProcessExecutor",
     "QueryKind",
     "QueryRequest",
     "QueryResult",
     "Rule",
     "SLHRGrammar",
     "ShardedCompressedGraph",
-    "SocketExecutor",
     "StreamingCompressor",
     "ThreadExecutor",
     "compile_pattern",

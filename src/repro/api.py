@@ -71,7 +71,7 @@ from repro.encoding.container import (
     encode_grammar,
     map_file,
 )
-from repro.exceptions import GrammarError, QueryError
+from repro.exceptions import QueryError
 from repro.queries.cache import QueryCache
 from repro.queries.components import ComponentQueries
 from repro.queries.degrees import DegreeQueries
@@ -162,7 +162,7 @@ class CompressedGraph(GraphService):
 
         The input graph and alphabet are left untouched: compression
         works on copies.  ``settings`` defaults to the paper's
-        recommendation (``maxRank=4``, FP order, incremental engine);
+        recommendation (``maxRank=4``, FP order);
         ``validate=False`` skips the post-run grammar validity check
         (cheap; disable only in tight benchmark loops).  ``cache_size``
         caps the handle's query-result LRU (0 disables it).
@@ -179,7 +179,6 @@ class CompressedGraph(GraphService):
             seed=settings.seed,
             virtual_edges=settings.virtual_edges,
             prune=settings.prune,
-            engine=settings.engine,
         )
         grammar = algorithm.run()
         if validate:
@@ -206,17 +205,10 @@ class CompressedGraph(GraphService):
 
         ``chunks`` yields iterables of ``(label, attachment)`` pairs;
         each chunk is ingested and drained before the next (see
-        :class:`repro.core.streaming.StreamingCompressor`).  Streaming
-        requires the incremental engine — ``settings.engine`` must be
-        left at its default.
+        :class:`repro.core.streaming.StreamingCompressor`).
         """
         if settings is None:
             settings = GRePairSettings()
-        if settings.engine != "incremental":
-            raise GrammarError(
-                "streaming compression requires engine='incremental', "
-                f"got {settings.engine!r}"
-            )
         compressor = StreamingCompressor(
             alphabet,
             max_rank=settings.max_rank,

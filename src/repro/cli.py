@@ -54,7 +54,6 @@ from pathlib import Path
 from typing import Any, Callable, List, Optional
 
 from repro import (
-    ENGINES,
     CompressedGraph,
     GRePairSettings,
     ShardedCompressedGraph,
@@ -83,11 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       default="fp", help="node order (default: fp)")
     comp.add_argument("--seed", type=int, default=0,
                       help="seed for the random order")
-    comp.add_argument("--engine", choices=list(ENGINES),
-                      default="incremental",
-                      help="occurrence maintenance: incremental "
-                           "(default, no re-count passes) or recount "
-                           "(legacy oracle)")
     comp.add_argument("--no-virtual-edges", action="store_true",
                       help="disable the disconnected-components pass")
     comp.add_argument("--no-prune", action="store_true",
@@ -155,10 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="endpoint to bind: 'host:port' (port 0 "
                           "picks a free one) or 'unix:/path' "
                           "(default: 127.0.0.1:0)")
-    srv.add_argument("--codec", choices=["json", "binary"],
-                     default="json",
-                     help="wire codec for shard links and replies "
-                          "(default: json)")
     srv.add_argument("--cache-size", type=int, default=None,
                      help="router-side query-result LRU capacity "
                           "(default: the library default)")
@@ -191,9 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shardsrv.add_argument("--address", default="127.0.0.1:0",
                           help="endpoint to bind (default: "
                                "127.0.0.1:0)")
-    shardsrv.add_argument("--codec", choices=["json", "binary"],
-                          default="json",
-                          help="wire codec (default: json)")
     shardsrv.add_argument("--epoch", type=int, default=0,
                           help="deployment generation reported to "
                                "routers (default: 0)")
@@ -220,10 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "replica endpoints, comma-separated")
     man.add_argument("--epoch", type=int, default=0,
                      help="deployment generation (default: 0)")
-    man.add_argument("--codec", choices=["json", "binary"],
-                     default="json",
-                     help="wire codec routers use on shard links "
-                          "(default: json)")
 
     conn = sub.add_parser("connect",
                           help="run a query against a served graph")
@@ -243,9 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     conn.add_argument("--info", action="store_true",
                       help="print the server's self-description "
                            "instead of querying")
-    conn.add_argument("--codec", choices=["json", "binary"],
-                      default="json",
-                      help="wire codec (default: json)")
 
     return parser
 
@@ -258,7 +238,6 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         seed=args.seed,
         virtual_edges=not args.no_virtual_edges,
         prune=not args.no_prune,
-        engine=args.engine,
     )
     if args.shards < 1:
         raise ReproError(f"--shards must be >= 1, got {args.shards}")
@@ -540,7 +519,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ReproError("serve needs a container path or --manifest")
     timeout = (DEFAULT_SHARD_TIMEOUT if args.shard_timeout is None
                else args.shard_timeout)
-    server = serve(args.input, address=args.address, codec=args.codec,
+    server = serve(args.input, address=args.address,
                    cache_size=args.cache_size, pipeline=args.pipeline,
                    replicas=args.replicas, manifest=args.manifest,
                    shard_timeout=timeout)
@@ -555,8 +534,8 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
     from repro.serving import ShardHost
 
     host = ShardHost(args.input, shard=args.shard,
-                     address=args.address, codec=args.codec,
-                     epoch=args.epoch, cache_size=args.cache_size,
+                     address=args.address, epoch=args.epoch,
+                     cache_size=args.cache_size,
                      pipeline=args.pipeline)
     host.start()
     banner = (f"serving shard {args.shard} of {args.input} "
@@ -589,8 +568,7 @@ def _cmd_manifest(args: argparse.Namespace) -> int:
             f"names {len(shards)} group"
             f"{'s' if len(shards) != 1 else ''}")
     manifest = ClusterManifest.for_container(
-        data, shards, epoch=args.epoch, codec=args.codec,
-        container=args.input)
+        data, shards, epoch=args.epoch, container=args.input)
     manifest.save(args.output)
     print(f"wrote {args.output}: {len(shards)} shard"
           f"{'s' if len(shards) != 1 else ''}, "
@@ -600,7 +578,7 @@ def _cmd_manifest(args: argparse.Namespace) -> int:
 
 def _cmd_connect(args: argparse.Namespace) -> int:
     from repro.serving import connect
-    with connect(args.endpoint, codec=args.codec) as client:
+    with connect(args.endpoint) as client:
         if args.info:
             for key, value in sorted(client.info().items()):
                 print(f"{key}: {value}")

@@ -32,7 +32,7 @@ from repro.core.orders import (
     random_order,
 )
 from repro.core.pipeline import CompressionResult, GRePairSettings, compress
-from repro.core.repair import ENGINES, CompressionStats, GRePair
+from repro.core.repair import CompressionStats, GRePair
 from repro.core.streaming import StreamingCompressor
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "CompressionResult",
     "CompressionStats",
     "DigramKey",
-    "ENGINES",
     "Edge",
     "GRePair",
     "GRePairSettings",

@@ -218,8 +218,7 @@ def occurrence_is_current(graph: Hypergraph, key: DigramKey,
 
     A recorded occurrence is *stale* once one of its edges was consumed
     by a replacement or the externality of one of its nodes changed
-    (its true digram key drifted).  Both engines use this identity
-    check; the incremental engine additionally repairs drifted entries
+    (its true digram key drifted).  The engine repairs drifted entries
     eagerly instead of waiting for a counting pass to rediscover them.
     """
     if not (graph.has_edge(occ.edge_a) and graph.has_edge(occ.edge_b)):

@@ -338,7 +338,7 @@ class BucketQueue:
         """Remove and return a digram from the highest non-empty bucket.
 
         Count ties are broken by the canonical (lexicographically
-        smallest) digram key — a content-based order, so engines with
+        smallest) digram key — a content-based order, so runs with
         different maintenance histories pop identically and stay
         differentially comparable.  The caller owns the popped list and
         must clear its ``bucket`` field (or re-``file`` it) before

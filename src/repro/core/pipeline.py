@@ -16,7 +16,7 @@ New code should call the facade directly and keep the handle — it owns
 the lazily built query index and the serialized container.
 
 :class:`GRePairSettings` lives here and validates eagerly: a typo'd
-order or engine fails at construction, not deep inside a compression
+order fails at construction, not deep inside a compression
 run.
 """
 
@@ -29,7 +29,7 @@ from repro.core.alphabet import Alphabet
 from repro.core.grammar import SLHRGrammar
 from repro.core.hypergraph import Hypergraph
 from repro.core.orders import NODE_ORDERS
-from repro.core.repair import ENGINES, CompressionStats
+from repro.core.repair import CompressionStats
 from repro.exceptions import GrammarError, HypergraphError
 
 
@@ -38,13 +38,11 @@ class GRePairSettings:
     """Tunable parameters of a gRePair run.
 
     Defaults follow the paper's recommended configuration
-    (``maxRank = 4`` and the FP order, section IV-C) on the incremental
-    maintenance engine; ``engine="recount"`` selects the legacy
-    full-recount oracle (see :mod:`repro.core.repair`).
+    (``maxRank = 4`` and the FP order, section IV-C).
 
-    Misconfiguration fails eagerly at construction: unknown ``order``
-    or ``engine`` names and ``max_rank < 2`` raise immediately instead
-    of surfacing from deep inside :class:`repro.core.repair.GRePair`.
+    Misconfiguration fails eagerly at construction: an unknown
+    ``order`` name and ``max_rank < 2`` raise immediately instead of
+    surfacing from deep inside :class:`repro.core.repair.GRePair`.
     """
 
     max_rank: int = 4
@@ -52,7 +50,6 @@ class GRePairSettings:
     seed: int = 0
     virtual_edges: bool = True
     prune: bool = True
-    engine: str = "incremental"
 
     def __post_init__(self) -> None:
         if self.max_rank < 2:
@@ -62,16 +59,11 @@ class GRePairSettings:
             raise HypergraphError(
                 f"unknown node order {self.order!r}; choose from "
                 f"{sorted(NODE_ORDERS)}")
-        if self.engine not in ENGINES:
-            raise GrammarError(
-                f"unknown engine {self.engine!r}; expected one of "
-                f"{ENGINES}")
 
     def describe(self) -> str:
         """Short human-readable parameter summary."""
         return (f"maxRank={self.max_rank}, order={self.order}, "
-                f"virtual={self.virtual_edges}, prune={self.prune}, "
-                f"engine={self.engine}")
+                f"virtual={self.virtual_edges}, prune={self.prune}")
 
 
 @dataclass

@@ -11,49 +11,42 @@ Given a start graph the algorithm repeatedly
    and adds the rule ``A -> digram``,
 4. updates occurrence lists around the replacement sites.
 
-Two engines implement step 4:
+Step 4 is incremental.  One counting pass seeds the occurrence table;
+afterwards **no full re-count pass is ever performed**
+(``stats.recount_passes == 0``).  While the queue drains, occurrence
+lists only shrink: replacing an occurrence surgically releases every
+overlapping occurrence and re-files the affected digram lists in
+place, and each fresh nonterminal edge receives one bounded pairing
+per attachment node.  Every node whose pairing state changed —
+attachment nodes of replaced occurrences, nodes of released or newly
+recorded partner edges — is marked *dirty*.  When the queue runs dry
+the engine *settles*: starting from the dirty set it releases every
+recorded occurrence in the affected region (following the cascade of
+freed pairing slots) and re-runs the canonical counting construction
+on exactly those nodes, in ω order, against the per-node
+:class:`~repro.core.occurrences.PairingIndex`.  Outside the affected
+region the greedy counting construction is deterministic and its
+inputs are unchanged, so the kept state coincides with what a full
+pass would rebuild — the settle step realigns exactly like a re-count
+pass while touching only the changed neighborhood.  Drain and settle
+alternate until no active digram remains.
 
-``engine="incremental"`` (default)
-    One counting pass seeds the occurrence table; afterwards **no full
-    re-count pass is ever performed** (``stats.recount_passes == 0``).
-    While the queue drains, occurrence lists only shrink: replacing an
-    occurrence surgically releases every overlapping occurrence and
-    re-files the affected digram lists in place, and each fresh
-    nonterminal edge receives one bounded pairing per attachment node.
-    Every node whose pairing state changed — attachment nodes of
-    replaced occurrences, nodes of released or newly recorded partner
-    edges — is marked *dirty*.  When the queue runs dry the engine
-    *settles*: starting from the dirty set it releases every recorded
-    occurrence in the affected region (following the cascade of freed
-    pairing slots) and re-runs the canonical counting construction on
-    exactly those nodes, in ω order, against the per-node
-    :class:`~repro.core.occurrences.PairingIndex`.  Outside the
-    affected region the greedy counting construction is deterministic
-    and its inputs are unchanged, so the kept state coincides with what
-    a full pass would rebuild — the settle step realigns exactly like a
-    re-count pass while touching only the changed neighborhood.  Drain
-    and settle alternate until no active digram remains.
+Externality drift is covered by the same mechanism: a recorded
+occurrence's key can only change when a node's degree crosses the
+:data:`~repro.core.digram.EXT_STABLE_DEGREE` range, degrees only
+change at dirty nodes, and dirty regions are re-keyed from scratch
+when settled.  Stale keys that a drain meets before the next settle
+are caught by revalidation immediately before a replacement, so
+replacements are always sound.
 
-    Externality drift is covered by the same mechanism: a recorded
-    occurrence's key can only change when a node's degree crosses the
-    :data:`~repro.core.digram.EXT_STABLE_DEGREE` range, degrees only
-    change at dirty nodes, and dirty regions are re-keyed from scratch
-    when settled.  Stale keys that a drain meets before the next settle
-    are caught by revalidation immediately before a replacement, so
-    replacements are always sound.
-
-``engine="recount"`` (legacy oracle)
-    The seed implementation: the same drain, but the realignment
-    between drains is a full counting pass over the whole graph,
-    repeated until no active digram remains.  Quadratic-ish on large
-    inputs, but an oracle for the incremental engine: the differential
-    suite (``tests/test_engine_differential.py``) checks that both
-    engines' grammars decompress identically and have near-identical
-    sizes.
+The differential suite (``tests/test_engine_differential.py``) holds
+this engine against a full-recount oracle kept in the tests, which
+overrides :meth:`GRePair._restart_phase` to realign by whole counting
+passes instead of settles.
 
 Every replaced digram strictly decreases the number of edges of the
 start graph, and a settle that surfaces no active digram ends the run,
-so both engines terminate.
+so the loop terminates.
 
 After the main loop, disconnected components are linked with *virtual
 edges* and the algorithm restarts on the augmented graph (the paper's
@@ -61,17 +54,16 @@ construction) — this is the step that gives version graphs their
 near-exponential compression (paper Fig. 13): chains of isomorphic
 components become digrams of nonterminal and virtual edges, which then
 pair hierarchically.  The added edges shift externality across the
-graph, so both engines seed this second phase with one counting pass of
-its own; within the phase the incremental engine again maintains the
-state purely by deltas (``recount_passes`` counts only *re*-counts
-within a phase and stays 0).  The virtual edges are deleted from the
-grammar afterwards.  Finally the grammar is pruned
-(:mod:`repro.core.pruning`).
+graph, so this second phase is seeded with one counting pass of its
+own; within the phase the state is again maintained purely by deltas
+(``recount_passes`` counts only *re*-counts within a phase and stays
+0).  The virtual edges are deleted from the grammar afterwards.
+Finally the grammar is pruned (:mod:`repro.core.pruning`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.alphabet import Alphabet, VIRTUAL_LABEL_NAME
 from repro.core.digram import (
@@ -95,9 +87,6 @@ from repro.core.pruning import prune_grammar
 from repro.exceptions import GrammarError
 from repro.util.unionfind import UnionFind
 
-#: The available maintenance engines (see module docstring).
-ENGINES = ("incremental", "recount")
-
 #: Nodes with more incident edges than this are skipped by the bounded
 #: per-replacement update (settle/re-count passes cover them instead).
 _UPDATE_DEGREE_CAP = 256
@@ -108,25 +97,22 @@ class CompressionStats:
 
     Attributes
     ----------
-    engine:
-        Which maintenance engine produced these numbers.
     passes:
-        Full counting passes over the whole node order.  The
-        incremental engine performs exactly one per phase — the seed of
-        the main loop, plus (following the paper, which restarts the
-        algorithm on the virtual-edge-augmented graph) one seed for the
-        virtual-edge phase; pure streaming ingestion needs none for the
-        main loop.
+        Full counting passes over the whole node order: exactly one
+        per phase — the seed of the main loop, plus (following the
+        paper, which restarts the algorithm on the
+        virtual-edge-augmented graph) one seed for the virtual-edge
+        phase; pure streaming ingestion needs none for the main loop.
     recount_passes:
         Full counting passes re-run *within* a phase to repair
         occurrence state after replacements — the quadratic-ish
-        component the incremental engine eliminates (always 0 there;
-        the recount engine re-counts after every drain).
+        component the settles eliminate (always 0; a full-recount
+        loop re-counts after every drain).
     settle_rounds:
         Incremental settle boundaries (dirty-region realignments).
     nodes_recounted:
         Nodes whose pairing was re-derived during settles — the
-        incremental engine's substitute for whole-graph re-counts.
+        substitute for whole-graph re-counts.
     digrams_replaced / occurrences_replaced:
         Rules introduced and occurrence replacements performed.
     queue_pushes / queue_pops:
@@ -135,8 +121,7 @@ class CompressionStats:
         Virtual-edge pass and pruning phase counters.
     """
 
-    def __init__(self, engine: str = "incremental") -> None:
-        self.engine = engine
+    def __init__(self) -> None:
         self.passes = 0
         self.recount_passes = 0
         self.settle_rounds = 0
@@ -151,10 +136,6 @@ class CompressionStats:
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict view used by the benchmark harness."""
         return dict(self.__dict__)
-
-
-#: Backwards-compatible alias (pre-incremental name).
-GRePairStats = CompressionStats
 
 
 class GRePair:
@@ -178,9 +159,6 @@ class GRePair:
         Enable the disconnected-components pass.
     prune:
         Enable the pruning phase.
-    engine:
-        Occurrence-maintenance engine: ``"incremental"`` (default; no
-        re-count passes) or ``"recount"`` (legacy full-recount oracle).
     """
 
     def __init__(
@@ -192,14 +170,9 @@ class GRePair:
         seed: int = 0,
         virtual_edges: bool = True,
         prune: bool = True,
-        engine: str = "incremental",
     ) -> None:
         if max_rank < 2:
             raise GrammarError(f"max_rank must be >= 2, got {max_rank}")
-        if engine not in ENGINES:
-            raise GrammarError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
         self.graph = graph
         self.alphabet = alphabet
         self.max_rank = max_rank
@@ -207,12 +180,11 @@ class GRePair:
         self.seed = seed
         self.use_virtual_edges = virtual_edges
         self.use_pruning = prune
-        self.engine = engine
-        self.stats = CompressionStats(engine)
+        self.stats = CompressionStats()
         self._order: List[int] = []
         self._position: Dict[int, int] = {}
         self._grammar: Optional[SLHRGrammar] = None
-        # Persistent incremental state (None under engine="recount").
+        # Persistent incremental state, built by _begin().
         self._table: Optional[OccurrenceTable] = None
         self._queue: Optional[BucketQueue] = None
         self._index: Optional[PairingIndex] = None
@@ -230,15 +202,11 @@ class GRePair:
         self._begin()
         self._set_order(node_order(self.graph, self.order_name,
                                    self.seed))
-        if self.engine == "recount":
-            self._compress_to_fixpoint()
-        else:
-            self._count_all(self._table, self._queue)
-            self._drain_and_settle(self._table, self._queue)
+        self._restart_phase()
         return self._finish()
 
     # ------------------------------------------------------------------
-    # Streaming entry points (incremental engine only)
+    # Streaming entry points
     # ------------------------------------------------------------------
     def begin_streaming(self) -> None:
         """Initialize for chunked ingestion instead of :meth:`run`.
@@ -247,10 +215,6 @@ class GRePair:
         counting pass; edges ingested later are counted purely locally,
         reusing the same table, queue and pairing index across chunks.
         """
-        if self.engine == "recount":
-            raise GrammarError(
-                "streaming ingestion requires engine='incremental'"
-            )
         if self._grammar is not None:
             raise GrammarError("GRePair instances are single-use")
         self._streaming = True
@@ -299,14 +263,9 @@ class GRePair:
             raise GrammarError("begin_streaming() was never called")
         self._drain_and_settle(self._table, self._queue)
         self._streaming = False
-        for key in self._table.keys():
-            self._table.drop_list(key)
-        self._dirty = {}
-        self._phase_counted = False
         self._set_order(node_order(self.graph, self.order_name,
                                    self.seed))
-        self._count_all(self._table, self._queue)
-        self._drain_and_settle(self._table, self._queue)
+        self._restart_phase()
         return self._finish()
 
     # ------------------------------------------------------------------
@@ -314,10 +273,9 @@ class GRePair:
     # ------------------------------------------------------------------
     def _begin(self) -> None:
         self._grammar = SLHRGrammar(self.alphabet, self.graph)
-        if self.engine == "incremental":
-            self._index = PairingIndex.from_graph(self.graph)
-            self._table = OccurrenceTable()
-            self._queue = BucketQueue(self.graph.num_edges)
+        self._index = PairingIndex.from_graph(self.graph)
+        self._table = OccurrenceTable()
+        self._queue = BucketQueue(self.graph.num_edges)
 
     def _set_order(self, order: List[int]) -> None:
         self._order = order
@@ -328,8 +286,7 @@ class GRePair:
             self._virtual_edge_pass()
         if self.use_pruning:
             self.stats.rules_pruned = prune_grammar(self._grammar)
-        if self._queue is not None:
-            self._retire_queue(self._queue)
+        self._retire_queue(self._queue)
         return self._grammar
 
     def _retire_queue(self, queue: BucketQueue) -> None:
@@ -348,7 +305,7 @@ class GRePair:
 
         The first pass of a phase seeds the occurrence state; any
         further pass within the same phase is a *re-count* — the
-        incremental engine never performs one.
+        settles make one unnecessary.
         """
         self.stats.passes += 1
         if self._phase_counted:
@@ -368,20 +325,9 @@ class GRePair:
         paired with each other (zip) and within themselves (split in
         halves, the paper's ``Occ`` construction), skipping edges whose
         partner-label slot is already taken and pairs whose digram rank
-        exceeds ``max_rank``.  The incremental engine reads the groups
-        from its pairing index; the recount engine derives them from
-        the incidence lists (same grouping, same order).
+        exceeds ``max_rank``.  The groups come from the pairing index.
         """
-        graph = self.graph
-        if self._index is not None:
-            types = self._index.groups_at(node)
-        else:
-            groups: Dict[Tuple[int, int], List[int]] = {}
-            for eid in graph.incident(node):
-                edge = graph.edge(eid)
-                groups.setdefault((edge.label, edge.att.index(node)),
-                                  []).append(eid)
-            types = sorted(groups.items())
+        types = self._index.groups_at(node)
         for i, (type_a, members_a) in enumerate(types):
             label_a = type_a[0]
             for type_b, members_b in types[i:]:
@@ -428,22 +374,25 @@ class GRePair:
         return True
 
     # ------------------------------------------------------------------
-    # Replacement (paper steps 3-6), shared by both engines
+    # Replacement (paper steps 3-6)
     # ------------------------------------------------------------------
-    def _compress_to_fixpoint(self) -> None:
-        """Recount engine: alternate counting passes and replacements."""
-        while True:
-            table = OccurrenceTable()
-            queue = BucketQueue(self.graph.num_edges)
-            self._count_all(table, queue)
-            progressed = self._drain_queue(table, queue)
-            self._retire_queue(queue)
-            if not progressed:
-                return
+    def _restart_phase(self) -> None:
+        """Seed a phase with one counting pass, then drain and settle.
+
+        A phase starts the run, the end of a stream and the
+        virtual-edge pass.  This is the one seam a test oracle
+        overrides to realign by whole counting passes instead.
+        """
+        self._phase_counted = False
+        for key in self._table.keys():
+            self._table.drop_list(key)
+        self._dirty = {}
+        self._count_all(self._table, self._queue)
+        self._drain_and_settle(self._table, self._queue)
 
     def _drain_and_settle(self, table: OccurrenceTable,
                           queue: BucketQueue) -> bool:
-        """Incremental engine: alternate drains and dirty-set settles."""
+        """Alternate drains and dirty-set settles."""
         progressed = False
         while True:
             progressed |= self._drain_queue(table, queue)
@@ -455,8 +404,7 @@ class GRePair:
         """Replace digrams until the queue empties.
 
         Returns True if at least one replacement happened (the caller
-        then realigns — a full re-count for the recount engine, a
-        dirty-region settle for the incremental one — and tries again).
+        then realigns by a dirty-region settle and tries again).
         """
         replaced_any = False
         while True:
@@ -554,21 +502,17 @@ class GRePair:
                     stale = table.get(affected_key)
                     if stale is not None:
                         queue.file(stale)
-        incremental = self._index is not None
-        if incremental:
-            for node in attachment:
-                self._dirty[node] = None
+        for node in attachment:
+            self._dirty[node] = None
         removed_a = graph.remove_edge(occ.edge_a)
         removed_b = graph.remove_edge(occ.edge_b)
         for node in doomed_nodes:
             graph.remove_node(node)
-            if incremental:
-                self._dirty.pop(node, None)
+            self._dirty.pop(node, None)
         new_edge = graph.add_edge(nonterminal, attachment)
-        if incremental:
-            self._index.remove(occ.edge_a, removed_a)
-            self._index.remove(occ.edge_b, removed_b)
-            self._index.add(new_edge, graph.edge(new_edge))
+        self._index.remove(occ.edge_a, removed_a)
+        self._index.remove(occ.edge_b, removed_b)
+        self._index.add(new_edge, graph.edge(new_edge))
         self._pair_new_edge(new_edge, table, queue)
         return True
 
@@ -582,7 +526,6 @@ class GRePair:
         Anything missed here is recovered by the next realignment.
         """
         graph = self.graph
-        incremental = self._index is not None
         for node in graph.edge(new_edge).att:
             if graph.degree(node) > _UPDATE_DEGREE_CAP:
                 continue
@@ -590,11 +533,10 @@ class GRePair:
                 if other == new_edge:
                     continue
                 if self._try_record(new_edge, other, table, queue):
-                    if incremental:
-                        # The partner's slots changed: its other nodes
-                        # must realign at the next settle.
-                        for touched in graph.edge(other).att:
-                            self._dirty[touched] = None
+                    # The partner's slots changed: its other nodes
+                    # must realign at the next settle.
+                    for touched in graph.edge(other).att:
+                        self._dirty[touched] = None
                     break
 
     # ------------------------------------------------------------------
@@ -602,8 +544,6 @@ class GRePair:
     # ------------------------------------------------------------------
     def _mark_occurrence_dirty(self, occ: Occurrence) -> None:
         """Dirty the (surviving) nodes of a released occurrence."""
-        if self._index is None:
-            return
         graph = self.graph
         for eid in occ.edges():
             if graph.has_edge(eid):
@@ -615,9 +555,8 @@ class GRePair:
         olist = table.get(key)
         if olist is None:
             return
-        if self._index is not None:
-            for occ in list(olist):
-                self._mark_occurrence_dirty(occ)
+        for occ in list(olist):
+            self._mark_occurrence_dirty(occ)
         table.drop_list(key)
 
     def _settle_dirty(self, table: OccurrenceTable,
@@ -701,27 +640,14 @@ class GRePair:
             if root not in representatives:
                 representatives[root] = node
         chain = list(representatives.values())
+        for left, right in zip(chain, chain[1:]):
+            eid = graph.add_edge(virtual, (left, right))
+            self._index.add(eid, graph.edge(eid))
+            self.stats.virtual_edges_added += 1
         # The virtual edges change externality across the graph, so the
         # paper restarts the algorithm on the augmented graph: this is a
         # fresh phase with its own seed pass (not a re-count).
-        self._phase_counted = False
-        if self.engine == "incremental":
-            for left, right in zip(chain, chain[1:]):
-                eid = graph.add_edge(virtual, (left, right))
-                self._index.add(eid, graph.edge(eid))
-                self.stats.virtual_edges_added += 1
-            # Reseed the occurrence state for the new phase; afterwards
-            # the drain/settle loop maintains it incrementally again.
-            for key in self._table.keys():
-                self._table.drop_list(key)
-            self._dirty = {}
-            self._count_all(self._table, self._queue)
-            self._drain_and_settle(self._table, self._queue)
-        else:
-            for left, right in zip(chain, chain[1:]):
-                graph.add_edge(virtual, (left, right))
-                self.stats.virtual_edges_added += 1
-            self._compress_to_fixpoint()
+        self._restart_phase()
         self._remove_virtual_edges(virtual)
 
     def _remove_virtual_edges(self, virtual: int) -> None:

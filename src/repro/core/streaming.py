@@ -129,7 +129,6 @@ class StreamingCompressor:
             seed=seed,
             virtual_edges=virtual_edges,
             prune=prune,
-            engine="incremental",
         )
         self._algorithm.begin_streaming()
         self._grammar: Optional[SLHRGrammar] = None

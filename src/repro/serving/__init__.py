@@ -9,13 +9,13 @@ Layering (each module only reaches down):
     query methods, ``execute()`` (per-request errors) and ``batch()``
     are defined once for every handle and client.
 ``codec``
-    The wire format: framed JSON or compact binary messages,
-    value-exact for every §V answer.
+    The wire format: length-prefixed JSON frames, untagged or
+    sequence-tagged, value-exact for every §V answer.
 ``executors``
-    :class:`InlineExecutor` / :class:`ThreadExecutor` /
-    :class:`ProcessExecutor` / :class:`SocketExecutor` — where and
-    how a planned batch runs; plus :func:`fork_map`, the
-    process-pool primitive shard builds reuse.
+    :class:`InlineExecutor` (sequential, through the LRU) and
+    :class:`ThreadExecutor` (planned fan-out) — how a planned batch
+    runs in process; plus :func:`fork_map`, the process-pool
+    primitive shard builds reuse.
 ``aio``
     :class:`ServerLoop`, the asyncio serving core: many in-flight
     sequence-tagged frames per connection, answered as each batch
@@ -54,14 +54,10 @@ from repro.serving.codec import (
     WireError,
 )
 from repro.serving.executors import (
-    EXECUTORS,
     Executor,
     InlineExecutor,
-    ProcessExecutor,
-    SocketExecutor,
     ThreadExecutor,
     fork_map,
-    make_executor,
 )
 from repro.serving.protocol import (
     CACHEABLE_KINDS,
@@ -91,7 +87,6 @@ __all__ = [
     "ConnectionLost",
     "DEFAULT_PIPELINE",
     "DEFAULT_SHARD_TIMEOUT",
-    "EXECUTORS",
     "Executor",
     "FrameError",
     "GraphClient",
@@ -100,7 +95,6 @@ __all__ = [
     "InlineExecutor",
     "MANIFEST_VERSION",
     "OversizedFrameError",
-    "ProcessExecutor",
     "QueryKind",
     "QueryRequest",
     "QueryResult",
@@ -108,14 +102,12 @@ __all__ = [
     "RequestTimeout",
     "ServerLoop",
     "ShardHost",
-    "SocketExecutor",
     "ThreadExecutor",
     "WireError",
     "connect",
     "container_hash",
     "fork_map",
     "is_retryable",
-    "make_executor",
     "normalize_request",
     "plan_batch",
     "serve",

@@ -134,12 +134,11 @@ class ServerLoop:
     """
 
     def __init__(self, listener: socket.socket, service: Any,
-                 executor: Any, codec: str, info: Dict[str, Any],
+                 executor: Any, info: Dict[str, Any],
                  pipeline: Optional[int] = None) -> None:
         self._listener = listener
         self._service = service
         self._executor = executor
-        self._codec = codec
         self._info = info
         self._workers = max(1, (DEFAULT_PIPELINE if pipeline is None
                                 else pipeline))
@@ -362,7 +361,7 @@ class ServerLoop:
     async def _reply(self, writer: asyncio.StreamWriter,
                      write_lock: asyncio.Lock, seq: Optional[int],
                      message: Dict[str, Any]) -> None:
-        payload = frame_bytes(message, self._codec, seq=seq)
+        payload = frame_bytes(message, seq=seq)
         async with write_lock:
             try:
                 writer.write(payload)

@@ -11,7 +11,6 @@ container build::
       "version": 1,
       "epoch": 3,
       "grps_hash": "9f2a…64 hex chars…",
-      "codec": "json",
       "container": "graph.grps",
       "shards": [["10.0.0.5:9000", "10.0.0.6:9000"],
                  ["10.0.0.7:9000", "10.0.0.8:9000"]]
@@ -43,7 +42,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ManifestError
-from repro.serving.codec import CODECS, WireError, parse_address
+from repro.serving.codec import WireError, parse_address
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -78,8 +77,6 @@ class ClusterManifest:
     grps_hash: str
     #: Deployment generation; routers refuse mismatched shard servers.
     epoch: int = 0
-    #: Wire codec for the router↔shard links.
-    codec: str = "json"
     #: Optional path to the container file (relative paths are
     #: resolved against the manifest file's directory on load).
     container: Optional[str] = None
@@ -102,10 +99,6 @@ class ClusterManifest:
             raise ManifestError(
                 f"manifest epoch must be a non-negative integer, "
                 f"got {self.epoch!r}")
-        if self.codec not in CODECS:
-            raise ManifestError(
-                f"unknown manifest codec {self.codec!r}; expected one "
-                f"of {CODECS}")
         if not (isinstance(self.grps_hash, str)
                 and len(self.grps_hash) == _HASH_HEX_LENGTH
                 and all(ch in "0123456789abcdef"
@@ -166,13 +159,12 @@ class ClusterManifest:
     @classmethod
     def for_container(cls, data: bytes,
                       shards: Sequence[Sequence[str]],
-                      epoch: int = 0, codec: str = "json",
+                      epoch: int = 0,
                       container: Optional[Union[str, Path]] = None
                       ) -> "ClusterManifest":
         """Build a manifest for a container already in hand."""
         return cls(shards=tuple(tuple(group) for group in shards),
                    grps_hash=container_hash(data), epoch=epoch,
-                   codec=codec,
                    container=(None if container is None
                               else str(container)))
 
@@ -181,7 +173,6 @@ class ClusterManifest:
             "version": self.version,
             "epoch": self.epoch,
             "grps_hash": self.grps_hash,
-            "codec": self.codec,
             "shards": [list(group) for group in self.shards],
         }
         if self.container is not None:
@@ -199,6 +190,11 @@ class ClusterManifest:
         if unknown:
             raise ManifestError(
                 f"unknown manifest fields: {sorted(unknown)}")
+        # Older manifests name the wire codec; JSON is the only one.
+        if payload.get("codec", "json") != "json":
+            raise ManifestError(
+                f"unsupported manifest codec {payload['codec']!r}; "
+                f"the wire speaks only 'json'")
         missing = {"grps_hash", "shards"} - set(payload)
         if missing:
             raise ManifestError(
@@ -212,7 +208,6 @@ class ClusterManifest:
         return cls(shards=tuple(tuple(group) for group in shards),
                    grps_hash=payload["grps_hash"],
                    epoch=payload.get("epoch", 0),
-                   codec=payload.get("codec", "json"),
                    container=payload.get("container"),
                    version=payload.get("version", MANIFEST_VERSION))
 

@@ -13,33 +13,25 @@ must be evaluated; an :class:`Executor` decides *where and how*:
     driven: dedup + cache pre-filter, then fan-out — through the
     service's own ``_fanout_jobs`` hook when it has one (the sharded
     handle's per-shard grouping) or a chunked thread pool otherwise.
-:class:`ProcessExecutor`
-    Fork workers, each holding the (copy-on-write) handle; jobs are
-    chunked across them and answers travel back over pipes.  Sidesteps
-    the GIL for CPU-bound query mixes.  The same fork machinery powers
-    process-parallel shard *builds*
-    (:func:`repro.serving.executors.fork_map`).
-:class:`SocketExecutor`
-    Ship the planned jobs to a remote :mod:`repro.serving.router`
-    endpoint over the wire codec; only cache misses leave the
-    process, and answers are bulk-inserted into the local LRU like
-    any other executor's.
 
 Every executor implements ``run(service, requests, strict=...)`` and
 returns one :class:`QueryResult` per request, in request order, with
-per-request error semantics.  The conformance suite holds all four
-bit-identical on the full §V family.
+per-request error semantics.  The conformance suite holds both
+bit-identical on the full §V family.  To evaluate a batch in another
+process, serve the handle and send the batch through a
+:class:`~repro.serving.router.GraphClient`.
+
+:func:`fork_map` is the fork primitive behind process-parallel shard
+*builds*.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 from typing import (
     Any,
     Callable,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -60,11 +52,8 @@ from repro.serving.protocol import (
 )
 
 __all__ = [
-    "EXECUTORS",
     "Executor",
     "InlineExecutor",
-    "ProcessExecutor",
-    "SocketExecutor",
     "ThreadExecutor",
     "evaluate_request",
     "finish_plan",
@@ -158,26 +147,13 @@ class Executor:
     otherwise they become per-request errors.
     """
 
-    name = "abstract"
-
     def run(self, service: Any, requests: Sequence[RequestLike],
             strict: bool = False) -> List[QueryResult]:
         raise NotImplementedError
 
-    def close(self) -> None:
-        """Release any held resources (sockets, workers)."""
-
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
 
 class InlineExecutor(Executor):
     """Sequential, in-process, through the public cached methods."""
-
-    name = "inline"
 
     def run(self, service: Any, requests: Sequence[RequestLike],
             strict: bool = False) -> List[QueryResult]:
@@ -227,8 +203,6 @@ class ThreadExecutor(Executor):
     pool.
     """
 
-    name = "thread"
-
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers
 
@@ -252,7 +226,7 @@ class ThreadExecutor(Executor):
 
 
 # ----------------------------------------------------------------------
-# Fork helpers (shared by ProcessExecutor and shard builds)
+# Fork helpers (process-parallel shard builds, forked shard servers)
 # ----------------------------------------------------------------------
 def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
     try:
@@ -331,155 +305,3 @@ def fork_map(tasks: Sequence[Callable[[], _T]],
     if failure is not None:
         raise failure
     return results
-
-
-class ProcessExecutor(Executor):
-    """Fork workers holding the handle; chunk jobs across them.
-
-    The service is warmed (index, reachability, degree summaries)
-    *before* forking so every worker inherits the built structures
-    copy-on-write instead of rebuilding them per process.  Answers —
-    plain ints/bools/lists/dicts — travel back over pipes.  When fork
-    is unavailable (non-POSIX) or the batch is tiny, falls back to
-    planned inline evaluation; answers are identical either way.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.max_workers = max_workers
-
-    def run(self, service: Any, requests: Sequence[RequestLike],
-            strict: bool = False) -> List[QueryResult]:
-        plan = plan_batch(requests, cache=_service_cache(service),
-                          dedup=True, strict=strict)
-        results: List[Optional[QueryResult]] = [None] * len(plan)
-        jobs = plan.jobs
-        context = _fork_context()
-        workers = min(self.max_workers or os.cpu_count() or 1,
-                      max(len(jobs), 1))
-        if jobs:
-            warm = getattr(service, "warm", None)
-            if warm is not None:
-                warm()
-            if context is None or workers <= 1 or len(jobs) <= 1:
-                for request in jobs:
-                    results[request.id] = evaluate_request(
-                        service, request, uncached=True)
-            else:
-                self._run_forked(context, service, jobs, results,
-                                 workers)
-        return finish_plan(plan, results)
-
-    @staticmethod
-    def _run_forked(context: Any, service: Any,
-                    jobs: List[QueryRequest],
-                    results: List[Optional[QueryResult]],
-                    workers: int) -> None:
-        def worker(chunk: List[QueryRequest], conn: Any) -> None:
-            payload = []
-            for request in chunk:
-                result = evaluate_request(service, request,
-                                          uncached=True)
-                payload.append((result.id, result.value, result.error))
-            conn.send(payload)
-            conn.close()
-
-        chunks = [jobs[offset::workers] for offset in range(workers)]
-        children = []
-        for chunk in chunks:
-            parent_conn, child_conn = context.Pipe(duplex=False)
-            process = context.Process(target=worker,
-                                      args=(chunk, child_conn))
-            process.start()
-            child_conn.close()
-            children.append((process, parent_conn, chunk))
-        for process, conn, chunk in children:
-            try:
-                payload = conn.recv()
-            except EOFError:
-                payload = [(request.id, None,
-                            "executor worker process died")
-                           for request in chunk]
-            finally:
-                conn.close()
-            process.join()
-            for position, value, error in payload:
-                results[position] = QueryResult(id=position,
-                                                value=value,
-                                                error=error)
-
-
-class SocketExecutor(Executor):
-    """Ship planned jobs to a served endpoint over the wire codec.
-
-    Holds one persistent connection (lazily opened, lock-guarded);
-    the local plan still deduplicates and pre-filters the handle's
-    LRU, so only genuinely unanswered requests cross the wire, and
-    remote answers are bulk-inserted locally like any other
-    executor's.  ``service`` may be ``None`` — a pure client-side
-    batch with no local handle at all.  ``retries=N`` resends the
-    planned jobs on up to N link deaths (reads are idempotent), so a
-    server restart or a dropped connection costs a reconnect, not a
-    batch.
-    """
-
-    name = "socket"
-
-    def __init__(self, address: Union[str, tuple],
-                 codec: str = "json",
-                 timeout: Optional[float] = None,
-                 retries: int = 0) -> None:
-        self.address = address
-        self.codec = codec
-        self.timeout = timeout
-        self.retries = retries
-        self._client: Optional[Any] = None
-        self._lock = threading.Lock()
-
-    def _connect(self) -> Any:
-        from repro.serving.router import GraphClient
-        with self._lock:
-            if self._client is None:
-                self._client = GraphClient(self.address,
-                                           codec=self.codec,
-                                           timeout=self.timeout,
-                                           retries=self.retries)
-            return self._client
-
-    def run(self, service: Any, requests: Sequence[RequestLike],
-            strict: bool = False) -> List[QueryResult]:
-        cache = _service_cache(service) if service is not None else None
-        plan = plan_batch(requests, cache=cache, dedup=True,
-                          strict=strict)
-        results: List[Optional[QueryResult]] = [None] * len(plan)
-        if plan.jobs:
-            client = self._connect()
-            for result in client.execute(plan.jobs):
-                results[result.id] = result
-        return finish_plan(plan, results)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._client is not None:
-                self._client.close()
-                self._client = None
-
-
-#: name -> zero-config constructor, for CLIs and benchmarks.
-EXECUTORS = {
-    "inline": InlineExecutor,
-    "thread": ThreadExecutor,
-    "process": ProcessExecutor,
-}
-
-
-def make_executor(name: str, **kwargs: Any) -> Executor:
-    """Build an executor by name (``socket`` needs an ``address``)."""
-    if name == "socket":
-        return SocketExecutor(**kwargs)
-    factory = EXECUTORS.get(name)
-    if factory is None:
-        raise QueryError(f"unknown executor {name!r}; expected one of "
-                         f"{sorted(EXECUTORS) + ['socket']}")
-    return factory(**kwargs)

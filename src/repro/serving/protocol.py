@@ -415,7 +415,7 @@ class GraphService:
 
     def out_edges(self, node_id: int) -> List[List[int]]:
         """Labeled outgoing edges as sorted ``[label, target]`` pairs
-        (list-of-lists for wire type-stability across the codecs)."""
+        (list-of-lists, so JSON returns the same type)."""
         return self._query("out_edges", node_id)
 
     def degree(self, node_id: Optional[int] = None,

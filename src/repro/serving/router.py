@@ -18,7 +18,7 @@ in memory and *answer traffic* — becomes concrete here:
     algorithms the in-process handle uses, so answers are
     bit-identical to local evaluation.
 :class:`GraphClient` (``connect()``)
-    The wire-codec client: the §V methods of every
+    The JSON-wire client: the §V methods of every
     :class:`~repro.serving.protocol.GraphService`, typed ``execute()``,
     ``batch()``, single-shot ``query()``, ``info()``/``ping()`` — and,
     with ``pipeline=True``, a **multiplexing** client: every frame is
@@ -65,12 +65,12 @@ from repro.serving.codec import (
     WireError,
     bind_socket,
     connect_socket,
+    encode_frame,
+    frame_bytes,
     recv_frame,
     recv_message,
     requests_to_wire,
     results_from_wire,
-    send_frame,
-    send_message,
 )
 from repro.serving.executors import (
     Executor,
@@ -111,7 +111,7 @@ _BACKOFF_CAP = 2.0
 # ----------------------------------------------------------------------
 # Shard server child process
 # ----------------------------------------------------------------------
-def _shard_process_main(source: Any, shard: int, conn: Any, codec: str,
+def _shard_process_main(source: Any, shard: int, conn: Any,
                         cache_size: Optional[int],
                         pipeline: Optional[int]) -> None:
     """Decode one shard, warm it, serve it forever on a loopback port.
@@ -145,7 +145,7 @@ def _shard_process_main(source: Any, shard: int, conn: Any, codec: str,
     }
     # Blocks until the parent terminates us; an unexpected listener
     # death surfaces as a nonzero exit instead of a silent idle child.
-    loop = ServerLoop(listener, handle, InlineExecutor(), codec, info,
+    loop = ServerLoop(listener, handle, InlineExecutor(), info,
                       pipeline=pipeline)
     loop.run()
     if loop.fault is not None:
@@ -156,12 +156,17 @@ def _shard_process_main(source: Any, shard: int, conn: Any, codec: str,
 # Reply settlement (shared by the strict and pipelined clients)
 # ----------------------------------------------------------------------
 def _settle_results(wire: List[Dict[str, Any]],
-                    reply: Dict[str, Any]) -> List[QueryResult]:
-    """A ``results`` reply -> one result per shipped request, in order."""
-    if reply.get("op") != "results":
-        raise WireError(f"expected results, got {reply.get('op')!r}")
-    by_id = {result.id: result
-             for result in results_from_wire(reply.get("results", []))}
+                    reply: Optional[Dict[str, Any]],
+                    refused: Sequence[QueryResult] = ()
+                    ) -> List[QueryResult]:
+    """A ``results`` reply (``None``: nothing was shipped) plus the
+    locally ``refused`` results -> one result per request, in order."""
+    by_id = {result.id: result for result in refused}
+    if reply is not None:
+        if reply.get("op") != "results":
+            raise WireError(f"expected results, got {reply.get('op')!r}")
+        by_id.update((result.id, result) for result in
+                     results_from_wire(reply.get("results", [])))
     results: List[QueryResult] = []
     for entry in wire:
         result = by_id.get(entry["id"])
@@ -173,16 +178,46 @@ def _settle_results(wire: List[Dict[str, Any]],
     return results
 
 
+def _ship_batch(wire: List[Dict[str, Any]], send: Any
+                ) -> Tuple[Any, List[QueryResult]]:
+    """``send`` one ``batch`` frame; ``(outcome, refused results)``.
+
+    When the frame cannot be encoded (an argument JSON cannot carry),
+    each offending request is answered locally with a per-request
+    error and the rest are sent on their own (outcome ``None`` when
+    nothing is left).  Only that failure path re-encodes per request.
+    """
+    try:
+        return send({"op": "batch", "requests": wire}), []
+    except WireError:
+        shipped: List[Dict[str, Any]] = []
+        refused: List[QueryResult] = []
+        for entry in wire:
+            try:
+                encode_frame(entry)
+            except WireError as exc:
+                refused.append(QueryResult(
+                    id=entry["id"],
+                    error=f"bad arguments for batch query "
+                          f"{entry['kind']!r}: {exc}"))
+            else:
+                shipped.append(entry)
+        if not refused:
+            raise
+    if not shipped:
+        return None, refused
+    return send({"op": "batch", "requests": shipped}), refused
+
+
 # ----------------------------------------------------------------------
 # Socket conversations: strict and multiplexed
 # ----------------------------------------------------------------------
 class _WireConnection:
     """One lock-guarded request/response socket conversation."""
 
-    def __init__(self, address: Union[str, tuple], codec: str,
+    def __init__(self, address: Union[str, tuple],
                  timeout: Optional[float]) -> None:
         self._address = address
-        self._codec = codec
         self._timeout = timeout
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
@@ -205,11 +240,12 @@ class _WireConnection:
             self._sock = None
 
     def round_trip(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        payload = frame_bytes(message)
         with self._lock:
             self.round_trips += 1
             sock = self._socket()
             try:
-                send_message(sock, message, self._codec)
+                sock.sendall(payload)
                 reply = recv_message(sock)
             except FrameError:
                 # Desynchronized stream: drop the connection so the
@@ -270,10 +306,9 @@ class _MuxConnection:
       carrying the errno, never a silent return.
     """
 
-    def __init__(self, address: Union[str, tuple], codec: str,
+    def __init__(self, address: Union[str, tuple],
                  timeout: Optional[float]) -> None:
         self._address = address
-        self._codec = codec
         self._timeout = timeout
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
@@ -300,11 +335,14 @@ class _MuxConnection:
                 # retryable: the caller's next attempt gets a fresh
                 # connection (or a peer replica).
                 raise ConnectionLost("connection is closed")
-            sock = self._ensure_socket()
             seq = next(self._seq)
+            # Encode before registering: a message JSON cannot carry
+            # raises here and leaves nothing pending.
+            payload = frame_bytes(message, seq=seq)
+            sock = self._ensure_socket()
             self._pending[seq] = future
             try:
-                send_frame(sock, message, self._codec, seq=seq)
+                sock.sendall(payload)
             except OSError as exc:
                 self._pending.pop(seq, None)
                 self._fault = ConnectionLost(
@@ -442,20 +480,19 @@ class GraphClient(GraphService):
     single-shot (its caller owns the future's fate).
     """
 
-    def __init__(self, address: Union[str, tuple], codec: str = "json",
+    def __init__(self, address: Union[str, tuple],
                  timeout: Optional[float] = None,
                  pipeline: bool = False, pool_size: int = 1,
                  retries: int = 0) -> None:
         self.address = address
         self.pipeline = bool(pipeline)
-        self._codec = codec
         self._timeout = timeout
         self._retries = max(0, int(retries))
         self._retired_trips = 0
         self._conn: Optional[_WireConnection] = None
         self._pool: List[_MuxConnection] = []
         if self.pipeline:
-            self._pool = [_MuxConnection(address, codec, timeout)
+            self._pool = [_MuxConnection(address, timeout)
                           for _ in range(max(1, int(pool_size)))]
             self._rr = itertools.count()
         else:
@@ -463,7 +500,7 @@ class GraphClient(GraphService):
                 raise ReproError("pool_size > 1 needs pipeline=True "
                                  "(a strict client holds exactly one "
                                  "connection)")
-            self._conn = _WireConnection(address, codec, timeout)
+            self._conn = _WireConnection(address, timeout)
 
     # -- plumbing ------------------------------------------------------
     def _next_mux(self) -> _MuxConnection:
@@ -481,15 +518,14 @@ class GraphClient(GraphService):
         """Replace every connection; completed-trip counters survive."""
         if self.pipeline:
             pool = self._pool
-            self._pool = [_MuxConnection(self.address, self._codec,
-                                         self._timeout)
+            self._pool = [_MuxConnection(self.address, self._timeout)
                           for _ in pool]
             for conn in pool:
                 self._retired_trips += conn.round_trips
                 conn.close()
         else:
             conn, self._conn = self._conn, _WireConnection(
-                self.address, self._codec, self._timeout)
+                self.address, self._timeout)
             self._retired_trips += conn.round_trips
             conn.close()
 
@@ -527,8 +563,8 @@ class GraphClient(GraphService):
         wire = requests_to_wire(requests)
         if not wire:
             return []
-        return _settle_results(
-            wire, self._roundtrip({"op": "batch", "requests": wire}))
+        reply, refused = _ship_batch(wire, self._roundtrip)
+        return _settle_results(wire, reply, refused)
 
     def execute_async(self, requests: Sequence[Union[QueryRequest,
                                                      Sequence[Any]]]
@@ -549,12 +585,15 @@ class GraphClient(GraphService):
         if not wire:
             done.set_result([])
             return done
-        inner = self._next_mux().submit({"op": "batch",
-                                         "requests": wire})
+        inner, refused = _ship_batch(wire, self._next_mux().submit)
+        if inner is None:
+            done.set_result(_settle_results(wire, None, refused))
+            return done
 
         def settle(reply: "Future[Dict[str, Any]]") -> None:
             try:
-                done.set_result(_settle_results(wire, reply.result()))
+                done.set_result(_settle_results(wire, reply.result(),
+                                                refused))
             except BaseException as exc:
                 done.set_exception(exc)
 
@@ -662,14 +701,12 @@ class ReplicatedShard(GraphService):
     index_built = True
 
     def __init__(self, endpoints: Sequence[Union[str, tuple]],
-                 codec: str = "json",
                  timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT,
                  pipeline: bool = True,
                  shard_index: Optional[int] = None) -> None:
         if not endpoints:
             raise ReproError("a replicated shard needs at least one "
                              "endpoint")
-        self._codec = codec
         self._timeout = timeout
         self._pipeline = pipeline
         self.shard_index = shard_index
@@ -696,8 +733,8 @@ class ReplicatedShard(GraphService):
         with self._lock:
             if replica.client is None:
                 replica.client = GraphClient(
-                    replica.endpoint, codec=self._codec,
-                    timeout=self._timeout, pipeline=self._pipeline)
+                    replica.endpoint, timeout=self._timeout,
+                    pipeline=self._pipeline)
             return replica.client
 
     def _mark_down(self, replica: _Replica, client: GraphClient) -> None:
@@ -814,7 +851,7 @@ class ShardHost:
     """
 
     def __init__(self, path: Union[str, Path, bytes], shard: int = 0,
-                 address: str = "127.0.0.1:0", codec: str = "json",
+                 address: str = "127.0.0.1:0",
                  epoch: int = 0, cache_size: Optional[int] = None,
                  pipeline: Optional[int] = None) -> None:
         from repro.encoding.container import map_file
@@ -822,7 +859,6 @@ class ShardHost:
                       else map_file(path))
         self._shard = int(shard)
         self._address = address
-        self._codec = codec
         self._epoch = int(epoch)
         self._cache_size = cache_size
         self._pipeline = pipeline
@@ -881,7 +917,7 @@ class ShardHost:
                        for label in handle.alphabet.terminals()],
         }
         self._loop = ServerLoop(self._listener, handle,
-                                InlineExecutor(), self._codec, info,
+                                InlineExecutor(), info,
                                 pipeline=self._pipeline).start()
         return self
 
@@ -943,7 +979,6 @@ class GraphServer:
 
     def __init__(self, path: Union[str, Path, bytes, None] = None,
                  address: str = "127.0.0.1:0",
-                 codec: str = "json",
                  cache_size: Optional[int] = None,
                  pipeline: Optional[int] = None,
                  replicas: int = 1,
@@ -974,7 +1009,6 @@ class GraphServer:
         if int(replicas) < 1:
             raise ReproError(f"replicas must be >= 1, got {replicas}")
         self._address = address
-        self._codec = codec
         self._cache_size = cache_size
         self._pipeline = pipeline
         self._replicas = int(replicas)
@@ -1043,16 +1077,13 @@ class GraphServer:
             shard_count = 1
         try:
             if self._manifest is not None:
-                link_codec = self._manifest.codec
                 endpoint_groups = self._manifest_endpoints(shard_count)
             else:
-                link_codec = self._codec
                 endpoint_groups = self._spawn_shards(
                     container if container is not None else self._data,
                     shard_count)
             self._proxies = [
-                ReplicatedShard(group, codec=link_codec,
-                                timeout=self._shard_timeout,
+                ReplicatedShard(group, timeout=self._shard_timeout,
                                 shard_index=index)
                 for index, group in enumerate(endpoint_groups)]
             if self._manifest is not None:
@@ -1103,8 +1134,7 @@ class GraphServer:
         self._service = service
         self._listener, self.endpoint = bind_socket(self._address)
         self._loop = ServerLoop(self._listener, service, executor,
-                                self._codec, info,
-                                pipeline=self._pipeline).start()
+                                info, pipeline=self._pipeline).start()
         return self
 
     def _manifest_endpoints(self, shard_count: int) -> List[List[str]]:
@@ -1130,8 +1160,7 @@ class GraphServer:
         for index, proxy in enumerate(self._proxies):
             reachable = 0
             for endpoint in proxy.endpoints:
-                client = GraphClient(endpoint, codec=manifest.codec,
-                                     timeout=5.0)
+                client = GraphClient(endpoint, timeout=5.0)
                 try:
                     info = client.info()
                 except (ReproError, OSError) as exc:
@@ -1185,7 +1214,7 @@ class GraphServer:
                 parent_conn, child_conn = context.Pipe(duplex=False)
                 process = context.Process(
                     target=_shard_process_main,
-                    args=(source, shard, child_conn, self._codec,
+                    args=(source, shard, child_conn,
                           self._cache_size, self._pipeline),
                     daemon=True)
                 process.start()
@@ -1234,9 +1263,8 @@ class GraphServer:
         """A client for this server's public endpoint."""
         if self.endpoint is None:
             raise ReproError("server is not started")
-        return GraphClient(self.endpoint, codec=self._codec,
-                           timeout=timeout, pipeline=pipeline,
-                           pool_size=pool_size)
+        return GraphClient(self.endpoint, timeout=timeout,
+                           pipeline=pipeline, pool_size=pool_size)
 
     def close(self) -> None:
         """Stop accepting, drop shard links, terminate shard processes.
@@ -1283,7 +1311,6 @@ class GraphServer:
 # ----------------------------------------------------------------------
 def serve(path: Union[str, Path, bytes, None] = None,
           address: str = "127.0.0.1:0",
-          codec: str = "json",
           cache_size: Optional[int] = None,
           pipeline: Optional[int] = None,
           replicas: int = 1,
@@ -1301,13 +1328,13 @@ def serve(path: Union[str, Path, bytes, None] = None,
     :class:`~repro.serving.cluster.ClusterManifest` instead of
     forking anything.
     """
-    return GraphServer(path, address=address, codec=codec,
+    return GraphServer(path, address=address,
                        cache_size=cache_size, pipeline=pipeline,
                        replicas=replicas, manifest=manifest,
                        shard_timeout=shard_timeout).start()
 
 
-def connect(address: Union[str, tuple], codec: str = "json",
+def connect(address: Union[str, tuple],
             timeout: Optional[float] = None,
             pipeline: bool = False,
             pool_size: int = 1,
@@ -1317,6 +1344,6 @@ def connect(address: Union[str, tuple], codec: str = "json",
     ``pipeline=True`` returns the multiplexing client (sequence-tagged
     frames, ``execute_async``, ``pool_size`` pooled connections);
     ``retries=N`` resends a request on up to N link deaths."""
-    return GraphClient(address, codec=codec, timeout=timeout,
+    return GraphClient(address, timeout=timeout,
                        pipeline=pipeline, pool_size=pool_size,
                        retries=retries)

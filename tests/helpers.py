@@ -9,7 +9,15 @@ from typing import Tuple
 import networkx as nx
 from networkx.algorithms.isomorphism import categorical_multiedge_match
 
-from repro import Alphabet, Hypergraph
+from repro import (
+    Alphabet,
+    CompressionResult,
+    GRePair,
+    GRePairSettings,
+    Hypergraph,
+    compress,
+)
+from repro.core.occurrences import BucketQueue, OccurrenceTable
 
 
 def to_networkx(graph: Hypergraph) -> nx.MultiDiGraph:
@@ -169,3 +177,83 @@ def exploding_build(*args, **kwargs):  # pragma: no cover
     """Patched over ``BoundaryClosure.build`` where a loaded closure
     must be used as is."""
     raise AssertionError("a persisted closure was rebuilt")
+
+
+# ----------------------------------------------------------------------
+# The full-recount oracle for the incremental gRePair engine
+# ----------------------------------------------------------------------
+class IncidenceGroups:
+    """Pairing groups re-derived from the live incidence lists.
+
+    Stands in for :class:`repro.core.occurrences.PairingIndex`: the
+    same ``(label, position)`` grouping in the same order, read off
+    the graph instead of maintained by deltas (so ``add``/``remove``
+    have nothing to do).
+    """
+
+    def __init__(self, graph: Hypergraph) -> None:
+        self._graph = graph
+
+    def add(self, edge_id, edge) -> None:
+        pass
+
+    def remove(self, edge_id, edge) -> None:
+        pass
+
+    def groups_at(self, node):
+        groups = {}
+        for eid in self._graph.incident(node):
+            edge = self._graph.edge(eid)
+            groups.setdefault((edge.label, edge.att.index(node)),
+                              []).append(eid)
+        return sorted(groups.items())
+
+
+class RecountGRePair(GRePair):
+    """gRePair realigned by whole counting passes instead of settles.
+
+    Each phase alternates a full counting pass over a fresh occurrence
+    table with a drain, until a drain replaces nothing; every pass
+    after a phase's first is a ``recount_passes`` tick.  Groups come
+    from the incidence lists and no dirty region is ever settled, so
+    the oracle shares only the counting and replacement steps with
+    the engine it checks.
+    """
+
+    def _begin(self) -> None:
+        super()._begin()
+        self._index = IncidenceGroups(self.graph)
+
+    def _restart_phase(self) -> None:
+        self._phase_counted = False
+        while True:
+            table = OccurrenceTable()
+            queue = BucketQueue(self.graph.num_edges)
+            self._count_all(table, queue)
+            progressed = self._drain_queue(table, queue)
+            self._retire_queue(queue)
+            self._dirty = {}
+            if not progressed:
+                return
+
+
+def recount_compress(graph: Hypergraph, alphabet: Alphabet,
+                     settings: GRePairSettings = None
+                     ) -> CompressionResult:
+    """:func:`repro.compress` through :class:`RecountGRePair`."""
+    settings = settings or GRePairSettings()
+    algorithm = RecountGRePair(
+        graph.copy(), alphabet.copy(), max_rank=settings.max_rank,
+        order=settings.order, seed=settings.seed,
+        virtual_edges=settings.virtual_edges, prune=settings.prune)
+    grammar = algorithm.run()
+    grammar.validate()
+    return CompressionResult(
+        grammar=grammar, original_size=graph.total_size,
+        original_edges=graph.num_edges, settings=settings,
+        stats=algorithm.stats.as_dict(), stats_obj=algorithm.stats)
+
+
+#: ``compress`` per engine name: the library's incremental engine and
+#: the recount oracle above.
+COMPRESSORS = {"incremental": compress, "recount": recount_compress}

@@ -265,12 +265,6 @@ class TestStreaming:
         assert streamed.node_count() == graph.node_size
         assert streamed.stats["recount_passes"] == 0
 
-    def test_from_stream_rejects_recount_engine(self):
-        _, alphabet = theta_graph()
-        with pytest.raises(GrammarError):
-            CompressedGraph.from_stream(
-                [], alphabet, GRePairSettings(engine="recount"))
-
 
 class TestPersistence:
     def test_sizes_reports_sections_for_fresh_and_opened(self):
@@ -363,18 +357,13 @@ class TestSettingsValidation:
         with pytest.raises(GrammarError):
             GRePairSettings(max_rank=1)
 
-    def test_bad_engine(self):
-        with pytest.raises(GrammarError):
-            GRePairSettings(engine="bogus")
-
     def test_bad_order(self):
         from repro.exceptions import HypergraphError
         with pytest.raises(HypergraphError):
             GRePairSettings(order="bogus")
 
     def test_valid_settings_untouched(self):
-        settings = GRePairSettings(max_rank=3, order="bfs",
-                                   engine="recount")
+        settings = GRePairSettings(max_rank=3, order="bfs")
         assert settings.max_rank == 3
 
     def test_degree_direction_validated(self):

@@ -1,8 +1,10 @@
-"""Doc-sync gate: every fenced python block in the docs must run.
+"""Doc-sync gate: every fenced python block in the docs, and every
+``examples/*.py`` script, must run.
 
 Delegates to ``scripts/check_docs_examples.py`` (the CI entry point)
-and also unit-tests its block extraction, so a silently-matching-
-nothing regex cannot fake a green check.
+and also unit-tests its block extraction and example runner, so a
+silently-matching-nothing regex or a swallowed exit code cannot fake
+a green check.
 """
 
 from __future__ import annotations
@@ -57,6 +59,31 @@ class TestExecution:
 
     def test_missing_document_fails(self, capsys):
         assert check_docs_examples.main(["/nonexistent/doc.md"]) == 1
+
+
+class TestExamples:
+    def test_every_example_is_covered(self):
+        covered = {path.name for path
+                   in check_docs_examples.default_documents()
+                   if path.suffix == ".py"}
+        assert "quickstart.py" in covered and len(covered) >= 5
+
+    def test_failing_example_reported(self, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_text("print('partial')\nraise SystemExit(3)\n")
+        (failure,) = check_docs_examples.run_example(bad)
+        assert "exited with 3" in failure and "partial" in failure
+
+    def test_hung_example_times_out(self, tmp_path):
+        slow = tmp_path / "slow.py"
+        slow.write_text("import time\ntime.sleep(30)\n")
+        (failure,) = check_docs_examples.run_example(slow, timeout=0.5)
+        assert "timed out" in failure
+
+    def test_example_sees_the_package(self, tmp_path):
+        ok = tmp_path / "ok.py"
+        ok.write_text("import repro\n")
+        assert check_docs_examples.run_example(ok) == []
 
 
 def test_all_docs_execute_cleanly(capsys):

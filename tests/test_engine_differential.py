@@ -1,9 +1,9 @@
 """Differential suite: the incremental engine against the recount oracle.
 
-The incremental engine (``engine="incremental"``) maintains occurrence
-lists and the bucket queue purely by local deltas; the legacy engine
-(``engine="recount"``) restores them with full counting passes.  On
-every dataset family both must
+The gRePair engine maintains occurrence lists and the bucket queue
+purely by local deltas; the oracle (:class:`helpers.RecountGRePair`)
+restores them with full counting passes.  On every dataset family
+both must
 
 * produce grammars that decompress to the original graph,
 * end up with near-identical grammar sizes (the drain trajectories are
@@ -14,7 +14,12 @@ every dataset family both must
 
 import pytest
 
-from helpers import degree_label_fingerprint, isomorphic
+from helpers import (
+    RecountGRePair,
+    degree_label_fingerprint,
+    isomorphic,
+    recount_compress,
+)
 
 from repro import GRePairSettings, compress, derive
 from repro.core.digram import occurrence_is_current
@@ -63,14 +68,9 @@ ORDERS = ["fp", "natural"]
 
 
 def _both_engines(graph, alphabet, order="fp", **kwargs):
-    results = {}
-    for engine in ("incremental", "recount"):
-        results[engine] = compress(
-            graph, alphabet,
-            GRePairSettings(engine=engine, order=order, **kwargs),
-            validate=True,
-        )
-    return results["incremental"], results["recount"]
+    settings = GRePairSettings(order=order, **kwargs)
+    return (compress(graph, alphabet, settings, validate=True),
+            recount_compress(graph, alphabet, settings))
 
 
 @pytest.mark.smoke
@@ -157,8 +157,8 @@ class TestMaintainedStateInvariants:
         algorithm = self._run_main_loop(graph, alphabet)
         table = OccurrenceTable()
         queue = BucketQueue(algorithm.graph.num_edges)
-        probe = GRePair(algorithm.graph, algorithm.alphabet,
-                        engine="recount")
+        probe = RecountGRePair(algorithm.graph, algorithm.alphabet)
+        probe._begin()
         # The probe must count in the engine's own ω: the greedy
         # pairing construction is order-sensitive, so saturation is
         # defined relative to the order the engine maintains.

@@ -1,18 +1,16 @@
-"""Executor conformance: four strategies, one set of answers.
+"""Executor conformance: two strategies and the wire, one set of answers.
 
-The acceptance bar for the serving redesign: every executor —
-Inline (sequential), Thread (planned fan-out), Process (forked
-workers), Socket (a served endpoint behind the wire codec) — must
+Both executors — Inline (sequential) and Thread (planned fan-out) —
+and a served endpoint behind :class:`repro.serving.GraphClient` must
 answer the full §V query family **bit-identically** on both handle
-types.  The differential suite runs Process and Socket against Inline
-on *every* smoke corpus for the unsharded handle, and on a corpus
-sample at 2 and 4 shards for the sharded one; a fast ``smoke``-marked
-lane covers one corpus per axis for tier-1 speed.
+types.  The differential suite runs Thread and the served client
+against Inline on *every* smoke corpus for the unsharded handle, and
+on a corpus sample at 2 and 4 shards for the sharded one; a fast
+``smoke``-marked lane covers one corpus per axis for tier-1 speed.
 
 Also covered: ``fork_map`` (the primitive behind process-parallel
 shard builds), process-parallel ``ShardedCompressedGraph.compress``,
-error-channel conformance across process/socket boundaries, and
-executor construction by name.
+and error-channel conformance across the socket boundary.
 """
 
 from __future__ import annotations
@@ -27,11 +25,9 @@ from repro.exceptions import QueryError
 from repro.serving import (
     GraphServer,
     InlineExecutor,
-    ProcessExecutor,
-    SocketExecutor,
     ThreadExecutor,
+    connect,
     fork_map,
-    make_executor,
 )
 
 CORPORA = list(SMOKE_CORPORA)
@@ -142,18 +138,25 @@ def served(request, unsharded, sharded):
         server.close()
 
 
-def run_through(executor, handle, requests):
-    try:
-        results = handle.execute(requests, executor=executor)
-    finally:
-        executor.close()
+def _values(results):
     errors = [result for result in results if not result.ok]
     assert not errors, f"unexpected errors: {errors[:3]}"
     return [result.value for result in results]
 
 
+def run_through(executor, handle, requests):
+    return _values(handle.execute(requests, executor=executor))
+
+
+def run_served(server, requests):
+    """The same batch through a client of ``server`` (one frame; the
+    server plans and executes it)."""
+    with connect(server.endpoint) as client:
+        return _values(client.execute(requests))
+
+
 # ----------------------------------------------------------------------
-# The differential: Process and Socket vs Inline, every smoke corpus
+# The differential: Thread and the served client vs Inline
 # ----------------------------------------------------------------------
 class TestUnshardedConformance:
     @pytest.mark.parametrize("corpus", CORPORA)
@@ -165,11 +168,8 @@ class TestUnshardedConformance:
         reference = run_through(InlineExecutor(), handle, requests)
         assert_identical(reference, run_through(
             ThreadExecutor(max_workers=4), handle, requests))
-        assert_identical(reference, run_through(
-            ProcessExecutor(max_workers=2), handle, requests))
-        server = served(corpus)
-        assert_identical(reference, run_through(
-            SocketExecutor(server.endpoint), handle, requests))
+        assert_identical(reference,
+                         run_served(served(corpus), requests))
 
     @pytest.mark.smoke
     def test_smoke_lane(self, unsharded, served):
@@ -177,11 +177,10 @@ class TestUnshardedConformance:
         requests = serving_workload(handle.node_count(), count=30,
                                     labels=label_names(handle))
         reference = run_through(InlineExecutor(), handle, requests)
-        server = served("er-random")
-        for executor in (ThreadExecutor(), ProcessExecutor(),
-                         SocketExecutor(server.endpoint)):
-            assert_identical(reference,
-                             run_through(executor, handle, requests))
+        assert_identical(reference, run_through(ThreadExecutor(),
+                                                handle, requests))
+        assert_identical(reference,
+                         run_served(served("er-random"), requests))
 
 
 class TestShardedConformance:
@@ -195,11 +194,8 @@ class TestShardedConformance:
         reference = run_through(InlineExecutor(), handle, requests)
         assert_identical(reference, run_through(
             ThreadExecutor(max_workers=4), handle, requests))
-        assert_identical(reference, run_through(
-            ProcessExecutor(max_workers=2), handle, requests))
-        server = served(corpus, shards)
-        assert_identical(reference, run_through(
-            SocketExecutor(server.endpoint), handle, requests))
+        assert_identical(reference,
+                         run_served(served(corpus, shards), requests))
 
     def test_served_router_equals_in_process_router(self, sharded,
                                                     served):
@@ -214,35 +210,27 @@ class TestShardedConformance:
         with server.connect() as client:
             assert_identical(truth, client.batch(requests))
 
-    @pytest.mark.parametrize("corpus,shards,codec", [
-        (corpus, 2, "json") for corpus in SHARDED_CORPORA
-    ] + [("communication", 4, "json"),
-         ("er-random", 2, "binary"),
-         ("communication", 4, "binary")])
+    @pytest.mark.parametrize("corpus,shards",
+                             [(corpus, 2) for corpus in SHARDED_CORPORA]
+                             + [("communication", 4)])
     @pytest.mark.timeout(120)
     def test_replicated_socket_with_one_dead_replica(self, corpus,
-                                                     shards, codec,
-                                                     sharded):
-        """The fifth conformance axis: a *replicated* served endpoint
-        with one replica of every shard killed mid-session must stay
-        bit-identical to the inline reference — Inline ≡ Thread ≡
-        Process ≡ Socket already holds above, so Inline is the only
-        oracle needed here."""
+                                                     shards, sharded):
+        """A *replicated* served endpoint with one replica of every
+        shard killed mid-session must stay bit-identical to the inline
+        reference — Inline ≡ Thread ≡ served already holds above, so
+        Inline is the only oracle needed here."""
         handle = sharded(corpus, shards)
         requests = serving_workload(handle.node_count(),
                                     labels=label_names(handle))
         reference = run_through(InlineExecutor(), handle, requests)
-        server = GraphServer(handle.to_bytes(), codec=codec,
-                             replicas=2, cache_size=0).start()
+        server = GraphServer(handle.to_bytes(), replicas=2,
+                             cache_size=0).start()
         try:
-            assert_identical(reference, run_through(
-                SocketExecutor(server.endpoint, codec=codec),
-                handle, requests))
+            assert_identical(reference, run_served(server, requests))
             for shard in range(server.num_shards):
                 server.kill_replica(shard, 0)
-            assert_identical(reference, run_through(
-                SocketExecutor(server.endpoint, codec=codec),
-                handle, requests))
+            assert_identical(reference, run_served(server, requests))
         finally:
             server.close()
 
@@ -267,31 +255,18 @@ class TestShardedConformance:
 
 
 # ----------------------------------------------------------------------
-# Error-channel conformance across process/socket boundaries
+# Error-channel conformance across the socket boundary
 # ----------------------------------------------------------------------
 class TestRemoteErrorChannel:
-    def test_process_executor_preserves_errors(self, unsharded):
-        handle = unsharded("er-random")
-        total = handle.node_count()
-        requests = [("out", 1), ("out", total + 9), ("nodes",)]
-        inline = handle.execute(requests)
-        forked = handle.execute(requests,
-                                executor=ProcessExecutor(max_workers=2))
-        assert [r.ok for r in forked] == [r.ok for r in inline]
-        assert forked[1].error == inline[1].error
-        assert forked[0].value == inline[0].value
-
-    def test_socket_executor_preserves_errors(self, unsharded, served):
+    def test_served_client_preserves_errors(self, unsharded, served):
         handle = unsharded("er-random")
         server = served("er-random")
         total = handle.node_count()
-        executor = SocketExecutor(server.endpoint)
-        try:
-            results = handle.execute(
-                [("out", total + 9), ("bogus",), ("nodes",)],
-                executor=executor)
-        finally:
-            executor.close()
+        with connect(server.endpoint) as client:
+            results = client.execute(
+                [("out", total + 9), ("bogus",), ("nodes",)])
+        assert results[0].error == handle.execute(
+            [("out", total + 9)])[0].error
         assert "out of range" in results[0].error
         assert "unknown batch query" in results[1].error
         assert results[2].value == total
@@ -300,7 +275,7 @@ class TestRemoteErrorChannel:
         handle = unsharded("er-random")
         with pytest.raises(QueryError, match="unknown batch query"):
             handle.batch([("bogus",)],
-                         executor=ProcessExecutor(max_workers=2))
+                         executor=ThreadExecutor(max_workers=2))
 
 
 # ----------------------------------------------------------------------
@@ -362,21 +337,3 @@ class TestProcessParallelBuild:
         with pytest.raises(Exception, match="parallel mode"):
             ShardedCompressedGraph.compress(graph, alphabet, shards=2,
                                             parallel="quantum")
-
-
-# ----------------------------------------------------------------------
-# Construction by name
-# ----------------------------------------------------------------------
-class TestMakeExecutor:
-    def test_by_name(self):
-        assert isinstance(make_executor("inline"), InlineExecutor)
-        assert isinstance(make_executor("thread", max_workers=2),
-                          ThreadExecutor)
-        assert isinstance(make_executor("process"), ProcessExecutor)
-        assert isinstance(make_executor("socket",
-                                        address="127.0.0.1:1"),
-                          SocketExecutor)
-
-    def test_unknown_rejected(self):
-        with pytest.raises(QueryError, match="unknown executor"):
-            make_executor("carrier-pigeon")

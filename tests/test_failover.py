@@ -110,7 +110,7 @@ class TestManifestValidation:
         return ClusterManifest(**fields)
 
     def test_round_trips_through_json(self, tmp_path):
-        manifest = self.make(epoch=3, codec="binary")
+        manifest = self.make(epoch=3)
         path = manifest.save(tmp_path / "cluster.json")
         loaded = ClusterManifest.load(path)
         assert loaded == manifest
@@ -128,7 +128,7 @@ class TestManifestValidation:
     @pytest.mark.parametrize("overrides,needle", [
         ({"epoch": -1}, "epoch"),
         ({"epoch": True}, "epoch"),
-        ({"codec": "xml"}, "codec"),
+        ({"epoch": "3"}, "epoch"),
         ({"grps_hash": "abc"}, "grps_hash"),
         ({"grps_hash": "G" * 64}, "grps_hash"),
         ({"shards": ()}, "no shards"),
@@ -151,6 +151,19 @@ class TestManifestValidation:
             ClusterManifest.from_dict({"shards": [["127.0.0.1:1"]]})
         with pytest.raises(ManifestError, match="JSON object"):
             ClusterManifest.from_dict([1, 2])
+
+    def test_codec_field_must_be_json(self, tmp_path):
+        """A manifest naming the wire codec still loads when it names
+        JSON; any other codec is refused, naming the field."""
+        payload = {"grps_hash": self.GOOD_HASH,
+                   "shards": [["127.0.0.1:1"]], "codec": "json"}
+        assert ClusterManifest.from_dict(payload) == self.make(
+            shards=(("127.0.0.1:1",),))
+        path = tmp_path / "cluster.json"
+        path.write_text(json.dumps(dict(payload, codec="binary")))
+        with pytest.raises(ManifestError, match="codec"):
+            ClusterManifest.load(path)
+        assert "codec" not in self.make().to_dict()
 
     def test_load_failures_name_the_file(self, tmp_path):
         missing = tmp_path / "nope.json"

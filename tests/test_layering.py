@@ -12,11 +12,18 @@
   one method per :class:`~repro.serving.QueryKind`, defined once on
   :class:`~repro.serving.GraphService`, and none of the former
   spellings or front doors survives.
+* There is one implementation per mechanism: JSON is the only wire
+  codec (no serving constructor, ``ServerLoop`` or CLI verb takes a
+  codec), ``InlineExecutor`` and ``ThreadExecutor`` are the only
+  executors, and gRePair has one engine (``GRePairSettings`` has no
+  ``engine`` field).
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -26,8 +33,20 @@ import repro
 import repro.partition
 import repro.queries
 import repro.serving
-from repro import CompressedGraph, ShardedCompressedGraph
-from repro.serving import GraphClient, GraphService, ReplicatedShard
+from repro import CompressedGraph, GRePairSettings, ShardedCompressedGraph
+from repro.cli import _build_parser
+from repro.serving import (
+    ClusterManifest,
+    Executor,
+    GraphClient,
+    GraphServer,
+    GraphService,
+    ReplicatedShard,
+    ServerLoop,
+    ShardHost,
+    connect,
+    serve,
+)
 from repro.serving import protocol
 from repro.serving.protocol import KIND_METHODS
 
@@ -125,3 +144,43 @@ def test_no_second_front_door_or_alias_table():
             if name.endswith("Shard")] == ["ReplicatedShard"]
     assert [name for name in dir(protocol)
             if name.startswith("KIND_")] == ["KIND_METHODS"]
+
+
+@pytest.mark.parametrize("entry", [connect, serve, GraphClient,
+                                   ReplicatedShard, ShardHost,
+                                   GraphServer, ServerLoop],
+                         ids=lambda entry: entry.__name__)
+def test_no_serving_entry_point_takes_a_codec(entry):
+    assert "codec" not in inspect.signature(entry).parameters
+
+
+def test_no_cli_verb_takes_a_codec_or_an_engine():
+    parser = _build_parser()
+    (verbs,) = [action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)]
+    flags = {verb: {option for action in sub._actions
+                    for option in action.option_strings}
+             for verb, sub in verbs.choices.items()}
+    assert {"serve", "shard-serve", "manifest", "connect",
+            "compress"} <= set(flags)
+    assert not {verb for verb, options in flags.items()
+                if {"--codec", "--engine"} & options}
+    assert "codec" not in {field.name for field in
+                           dataclasses.fields(ClusterManifest)}
+
+
+def test_two_executors():
+    executors = sorted(name for name in repro.serving.__all__
+                       if inspect.isclass(getattr(repro.serving, name))
+                       and issubclass(getattr(repro.serving, name),
+                                      Executor)
+                       and name != "Executor")
+    assert executors == ["InlineExecutor", "ThreadExecutor"]
+    assert not {"ProcessExecutor", "SocketExecutor", "EXECUTORS",
+                "make_executor"} & set(dir(repro.serving))
+
+
+def test_one_grepair_engine():
+    assert "engine" not in {field.name for field in
+                            dataclasses.fields(GRePairSettings)}
+    assert not {"ENGINES", "GRePairStats"} & set(dir(repro))

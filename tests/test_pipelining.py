@@ -2,8 +2,8 @@
 
 The wire-layer hardening pass and the pipelined front end, pinned:
 
-* the **sequence-tagged frame variant** (lowercase ``j``/``b`` tags)
-  round-trips through both codecs and coexists with untagged frames;
+* the **sequence-tagged frame variant** (the lowercase ``j`` tag)
+  round-trips and coexists with untagged frames;
 * **truncated frames** raise :class:`FrameError` instead of
   masquerading as clean closes (only a death exactly on a frame
   boundary is a clean EOF);
@@ -14,7 +14,10 @@ The wire-layer hardening pass and the pipelined front end, pinned:
   future instead of hanging;
 * **pipelined answers are bit-identical** to strict and in-process
   evaluation, and legacy untagged clients keep their strict
-  request–response contract against the event-loop server.
+  request–response contract against the event-loop server;
+* **malformed frames** — a ``batch`` whose shape is wrong, or a frame
+  with an unknown tag byte — get a structured ``error`` reply
+  addressed to the frame, and the connection keeps serving.
 
 Every test here carries a hard SIGALRM timeout (see
 ``tests/conftest.py``): a hung event loop fails fast instead of
@@ -39,6 +42,7 @@ from repro.serving.codec import (
     OversizedFrameError,
     WireError,
     bind_socket,
+    connect_socket,
     decode_frame,
     encode_frame,
     frame_bytes,
@@ -54,24 +58,22 @@ pytestmark = pytest.mark.timeout(60)
 # ----------------------------------------------------------------------
 @pytest.mark.smoke
 class TestSequenceTaggedFrames:
-    @pytest.mark.parametrize("codec", ("json", "binary"))
     @pytest.mark.parametrize("seq", (0, 1, 127, 128, 3 * 10 ** 5))
-    def test_round_trip_preserves_the_sequence_id(self, codec, seq):
+    def test_round_trip_preserves_the_sequence_id(self, seq):
         message = {"op": "results",
                    "results": [{"id": 0, "value": [1, 2, 3]}]}
-        payload = encode_frame(message, codec, seq=seq)
-        assert payload[0:1] in (b"j", b"b")  # the lowercase tags
+        payload = encode_frame(message, seq=seq)
+        assert payload[0:1] == b"j"  # the lowercase tag
         assert decode_frame(payload) == (seq, message)
 
-    @pytest.mark.parametrize("codec", ("json", "binary"))
-    def test_untagged_frames_decode_with_no_sequence_id(self, codec):
-        payload = encode_frame({"op": "ping"}, codec)
-        assert payload[0:1] in (b"J", b"B")  # unchanged legacy tags
+    def test_untagged_frames_decode_with_no_sequence_id(self):
+        payload = encode_frame({"op": "ping"})
+        assert payload[0:1] == b"J"
         assert decode_frame(payload) == (None, {"op": "ping"})
 
     def test_negative_sequence_id_is_rejected(self):
         with pytest.raises(WireError, match=">= 0"):
-            encode_frame({"op": "ping"}, "json", seq=-1)
+            encode_frame({"op": "ping"}, seq=-1)
 
     def test_truncated_sequence_tag(self):
         # A lowercase tag followed by an unterminated uvarint.
@@ -413,14 +415,13 @@ class TestPipelinedServing:
             client.query("out", 2)
             assert client.round_trips == before + 2
 
-    def test_binary_codec_pipelines_too(self):
+    def test_single_grammar_server_pipelines_too(self):
         graph, alphabet = SMOKE_CORPORA["communication"]()
         handle = CompressedGraph.compress(graph, alphabet,
                                           validate=False)
         requests = _mixed_requests(handle.node_count(), count=30)
         expected = handle.batch(requests)
-        with serve(handle.to_bytes(), codec="binary",
-                   pipeline=8) as server:
+        with serve(handle.to_bytes(), pipeline=8) as server:
             with server.connect(pipeline=True) as client:
                 futures = [client.execute_async(requests)
                            for _ in range(6)]
@@ -451,3 +452,74 @@ class TestServerKilledMidBatch:
                 assert all(result.error for result in results)
                 assert any("unavailable" in result.error
                            for result in results)
+
+
+# ----------------------------------------------------------------------
+# Malformed frames against the event-loop server (raw sockets)
+# ----------------------------------------------------------------------
+_WELL_FORMED = {"op": "batch",
+                "requests": [{"id": 0, "kind": "out", "args": [1]}]}
+
+
+@pytest.mark.smoke
+class TestMalformedFrames:
+    """Every malformed frame gets a structured ``error`` reply under
+    its own sequence id, and the next well-formed frame on the same
+    connection is answered (no silent hang, no dropped link)."""
+
+    @pytest.mark.parametrize("seq", [None, 5], ids=["untagged", "tagged"])
+    @pytest.mark.parametrize("requests", [
+        [{"kind": "out", "args": [1]}],
+        [{"id": "0", "kind": "out", "args": [1]}],
+        [["out", 1]],
+        {"id": 0, "kind": "out", "args": [1]},
+    ], ids=["no-id", "str-id", "not-a-dict", "not-a-list"])
+    def test_malformed_batch_is_answered(self, sharded_server,
+                                         requests, seq):
+        handle, server = sharded_server
+        with connect_socket(server.endpoint, timeout=5) as sock:
+            send_frame(sock, {"op": "batch", "requests": requests},
+                       seq=seq)
+            reply_seq, reply = recv_frame(sock)
+            assert reply_seq == seq
+            assert reply["op"] == "error"
+            assert "batch requests" in reply["message"]
+            send_frame(sock, _WELL_FORMED, seq=seq)
+            reply_seq, reply = recv_frame(sock)
+            assert reply_seq == seq
+            assert reply == {"op": "results",
+                             "results": [{"id": 0,
+                                          "value": handle.out(1)}]}
+
+    @pytest.mark.parametrize("depth", [100_000, 900],
+                             ids=["frame", "args"])
+    def test_deeply_nested_frame_is_answered(self, sharded_server,
+                                             depth):
+        """Nesting past the decoder's (or the value check's) recursion
+        limit is a malformed frame too, not a dropped connection."""
+        handle, server = sharded_server
+        nested = "[" * depth + "]" * depth
+        body = ('{"op":"batch","requests":[{"id":0,"kind":"out",'
+                f'"args":[{nested}]}}]}}').encode()
+        with connect_socket(server.endpoint, timeout=5) as sock:
+            sock.sendall(struct.pack("!I", len(body) + 1) + b"J" + body)
+            reply_seq, reply = recv_frame(sock)
+            assert reply["op"] == "error"
+            sock.sendall(frame_bytes(_WELL_FORMED))
+            assert recv_frame(sock)[1]["results"][0]["value"] == \
+                handle.out(1)
+
+    @pytest.mark.parametrize("tag", [b"B", b"b\x05"], ids=["B", "b"])
+    def test_unknown_tag_is_answered(self, sharded_server, tag):
+        handle, server = sharded_server
+        body = b'{"op":"ping"}'
+        with connect_socket(server.endpoint, timeout=5) as sock:
+            sock.sendall(struct.pack("!I", len(tag) + len(body))
+                         + tag + body)
+            reply_seq, reply = recv_frame(sock)
+            assert reply_seq is None
+            assert reply["op"] == "error"
+            assert "unknown frame tag" in reply["message"]
+            sock.sendall(frame_bytes(_WELL_FORMED))
+            assert recv_frame(sock)[1]["results"][0]["value"] == \
+                handle.out(1)

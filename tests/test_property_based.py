@@ -7,7 +7,8 @@ The central invariants of the system:
    including quirky shapes: rank-1 edges (the model's stand-in for
    self-loops, since attachments are repetition-free), parallel
    edges, isolated nodes and disconnected components.
-2. Both maintenance engines uphold invariant 1 and agree closely.
+2. The engine and its recount oracle (``helpers.RecountGRePair``)
+   both uphold invariant 1 and agree closely.
 3. The binary container is exact: decoding an encoded grammar
    reproduces the identical derived graph (same node IDs).
 4. Grammar queries agree with the decompressed graph.
@@ -19,7 +20,7 @@ import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import isomorphic
+from helpers import COMPRESSORS, isomorphic
 
 from repro import (
     Alphabet,
@@ -221,8 +222,8 @@ def test_canonicalize_is_idempotent(data):
        st.booleans())
 def test_quirky_graphs_roundtrip_on_both_engines(data, engine, virtual):
     graph, alphabet = data
-    result = compress(graph, alphabet, GRePairSettings(
-        engine=engine, virtual_edges=virtual))
+    result = COMPRESSORS[engine](graph, alphabet, GRePairSettings(
+        virtual_edges=virtual))
     result.grammar.validate()
     assert isomorphic(derive(result.grammar), graph)
     if engine == "incremental":
@@ -234,9 +235,8 @@ def test_quirky_graphs_roundtrip_on_both_engines(data, engine, virtual):
 def test_quirky_graphs_engines_agree(data):
     graph, alphabet = data
     sizes = {}
-    for engine in ("incremental", "recount"):
-        result = compress(graph, alphabet,
-                          GRePairSettings(engine=engine))
+    for engine, compressor in COMPRESSORS.items():
+        result = compressor(graph, alphabet)
         result.grammar.validate()
         sizes[engine] = result.grammar.size
     assert sizes["incremental"] <= sizes["recount"] * 1.05 + 2

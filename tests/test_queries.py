@@ -6,16 +6,18 @@ import random
 import networkx as nx
 import pytest
 
-from helpers import copies_graph, random_simple_graph, star_graph, \
-    theta_graph
+from helpers import COMPRESSORS, copies_graph, random_simple_graph, \
+    star_graph, theta_graph
 
 from repro import CompressedGraph, GRePairSettings, compress, derive
 from repro.exceptions import QueryError
 from repro.queries.index import GrammarIndex
 
 
-def _queries_and_truth(graph, alphabet, settings=None):
-    result = compress(graph, alphabet, settings or GRePairSettings())
+def _queries_and_truth(graph, alphabet, settings=None,
+                       engine="incremental"):
+    result = COMPRESSORS[engine](graph, alphabet,
+                                 settings or GRePairSettings())
     queries = CompressedGraph.from_grammar(result.grammar)
     val = derive(result.grammar.canonicalize())
     truth = nx.DiGraph()
@@ -160,9 +162,9 @@ class TestEngineOracle:
 
     The maintenance engine changes how the grammar is built, never what
     it derives: for random (s, t) probes, grammar reachability has to
-    equal BFS on the decompressed graph whichever engine produced the
-    grammar, and the two engines' derived graphs must agree on global
-    counts.
+    equal BFS on the decompressed graph whether the engine or the
+    recount oracle (``helpers.RecountGRePair``) produced the grammar,
+    and the two derived graphs must agree on global counts.
     """
 
     ENGINES = ("incremental", "recount")
@@ -176,8 +178,8 @@ class TestEngineOracle:
     ])
     def test_reachability_matches_bfs(self, engine, builder, probes):
         graph, alphabet = builder()
-        queries, truth, _ = _queries_and_truth(
-            graph, alphabet, GRePairSettings(engine=engine))
+        queries, truth, _ = _queries_and_truth(graph, alphabet,
+                                               engine=engine)
         rng = random.Random(4242)
         nodes = list(truth.nodes())
         for _ in range(probes):
@@ -191,8 +193,8 @@ class TestEngineOracle:
     def test_neighborhoods_match_bfs_truth(self, engine):
         graph, alphabet = random_simple_graph(32, num_nodes=30,
                                               num_edges=70)
-        queries, truth, _ = _queries_and_truth(
-            graph, alphabet, GRePairSettings(engine=engine))
+        queries, truth, _ = _queries_and_truth(graph, alphabet,
+                                               engine=engine)
         for node in truth.nodes():
             assert queries.out(node) == sorted(
                 truth.successors(node))
@@ -204,8 +206,8 @@ class TestEngineOracle:
                                               num_edges=90)
         answers = {}
         for engine in self.ENGINES:
-            queries, truth, _ = _queries_and_truth(
-                graph, alphabet, GRePairSettings(engine=engine))
+            queries, truth, _ = _queries_and_truth(graph, alphabet,
+                                                   engine=engine)
             answers[engine] = (
                 queries.node_count(),
                 queries.edge_count(),

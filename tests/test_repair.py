@@ -2,7 +2,13 @@
 
 import pytest
 
-from helpers import copies_graph, isomorphic, star_graph, theta_graph
+from helpers import (
+    copies_graph,
+    isomorphic,
+    recount_compress,
+    star_graph,
+    theta_graph,
+)
 
 from repro import (
     Alphabet,
@@ -209,24 +215,7 @@ class TestTermination:
 
 
 class TestEngines:
-    """Engine selection and the incremental engine's pass guarantees."""
-
-    def test_invalid_engine_rejected(self):
-        graph, alphabet = theta_graph()
-        with pytest.raises(GrammarError):
-            GRePair(graph, alphabet, engine="magic")
-
-    def test_default_engine_is_incremental(self):
-        graph, alphabet = theta_graph()
-        result = compress(graph, alphabet)
-        assert result.stats["engine"] == "incremental"
-
-    def test_recount_engine_selectable(self):
-        graph, alphabet = copies_graph(8)
-        result = compress(graph, alphabet,
-                          GRePairSettings(engine="recount"))
-        assert result.stats["engine"] == "recount"
-        assert isomorphic(derive(result.grammar), graph)
+    """The engine's pass guarantees, and agreement with the oracle."""
 
     def test_incremental_never_recounts(self):
         for builder in (theta_graph, lambda: copies_graph(16),
@@ -240,8 +229,7 @@ class TestEngines:
     def test_engines_produce_equivalent_grammars(self):
         graph, alphabet = copies_graph(24)
         incremental = compress(graph, alphabet)
-        recount = compress(graph, alphabet,
-                           GRePairSettings(engine="recount"))
+        recount = recount_compress(graph, alphabet)
         assert incremental.grammar.size == recount.grammar.size
         assert isomorphic(derive(incremental.grammar), graph)
         assert isomorphic(derive(recount.grammar), graph)
@@ -252,13 +240,6 @@ class TestEngines:
         assert result.stats["queue_pops"] > 0
         assert result.stats["queue_pushes"] > 0
         assert result.stats_obj.as_dict() == result.stats
-
-    def test_streaming_requires_incremental(self):
-        graph, alphabet = theta_graph()
-        algorithm = GRePair(graph.copy(), alphabet.copy(),
-                            engine="recount")
-        with pytest.raises(GrammarError):
-            algorithm.begin_streaming()
 
     def test_streaming_guards(self):
         graph, alphabet = theta_graph()

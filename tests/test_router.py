@@ -2,7 +2,7 @@
 
 Executor-level conformance lives in ``test_executors.py``; this file
 covers the deployment surface itself — lifecycle, liveness, info,
-codecs, unix-domain endpoints, concurrent clients, and the router's
+unix-domain endpoints, concurrent clients, and the router's
 LRU sitting in front of the shard processes.
 """
 
@@ -100,14 +100,6 @@ class TestClient:
         with server.connect() as client:
             assert client.batch([]) == []
             assert client.execute([]) == []
-
-    def test_binary_codec_client(self, sharded_bytes):
-        handle, blob = sharded_bytes
-        with serve(blob, codec="binary") as running:
-            with running.connect() as client:
-                requests = [("out", node) for node in range(1, 12)]
-                assert client.batch(requests) == \
-                    handle.batch(requests)
 
     def test_many_concurrent_clients(self, server, sharded_bytes):
         handle, _ = sharded_bytes

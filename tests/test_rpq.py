@@ -19,7 +19,7 @@ Differential acceptance for ``repro.rpq``:
   codec itself is pinned for 1 and 3 states in ``test_partition.py``).
 * **serving** — a socket-served handle answers ``rpq`` /
   ``pattern_count`` / ``out_edges`` byte-identically to the
-  in-process handle on both codecs (SIGALRM-bounded).
+  in-process handle, strict and pipelined (SIGALRM-bounded).
 """
 
 from __future__ import annotations
@@ -557,12 +557,8 @@ class TestServedRPQ:
             validate=False)
         names = label_names(sharded.alphabet)
         sharded.warm_closure(f"(<{names[0]}>|<{names[-1]}>)+")
-        servers = {codec: GraphServer(sharded.to_bytes(),
-                                      codec=codec).start()
-                   for codec in ("json", "binary")}
-        yield sharded, names, servers
-        for server in servers.values():
-            server.close()
+        with GraphServer(sharded.to_bytes()) as server:
+            yield sharded, names, server
 
     def requests(self, names, total_nodes):
         rng = random.Random(31)
@@ -582,23 +578,21 @@ class TestServedRPQ:
     @pytest.mark.smoke
     @pytest.mark.timeout(120)
     def test_served_answers_are_bit_identical(self, deployment):
-        sharded, names, servers = deployment
+        sharded, names, server = deployment
         requests = self.requests(names, sharded.node_count())
         truth = sharded.batch(requests)
-        for codec, server in servers.items():
-            with server.connect() as client:
-                answers = client.batch(requests)
-            assert answers == truth, codec
-            for expected, actual in zip(truth, answers):
-                assert type(actual) is type(expected)
+        with server.connect() as client:
+            answers = client.batch(requests)
+        assert answers == truth
+        for expected, actual in zip(truth, answers):
+            assert type(actual) is type(expected)
 
     @pytest.mark.timeout(120)
     def test_pipelined_client_agrees(self, deployment):
-        sharded, names, servers = deployment
+        sharded, names, server = deployment
         requests = self.requests(names, sharded.node_count())
         truth = sharded.batch(requests)
-        with servers["binary"].connect(pipeline=True,
-                                       pool_size=2) as client:
+        with server.connect(pipeline=True, pool_size=2) as client:
             futures = [client.execute_async(requests)
                        for _ in range(4)]
             for future in futures:
@@ -607,14 +601,12 @@ class TestServedRPQ:
                 assert values == truth
 
     @pytest.mark.timeout(120)
-    @pytest.mark.parametrize("codec", ["json", "binary"])
-    def test_pattern_bomb_is_a_fast_per_request_error(self, deployment,
-                                                      codec):
+    def test_pattern_bomb_is_a_fast_per_request_error(self, deployment):
         """The n = 14 subset-construction bomb comes back as the typed
         error, fast, and its neighbour in the batch is answered."""
-        sharded, _, servers = deployment
+        sharded, _, server = deployment
         bomb = "(a|b)* a" + " (a|b)" * 14
-        with connect(servers[codec].endpoint, codec=codec) as client:
+        with connect(server.endpoint) as client:
             start = time.perf_counter()
             results = client.execute([("rpq", bomb, 1, 2), ("nodes",)])
             elapsed = time.perf_counter() - start
@@ -627,12 +619,12 @@ class TestServedRPQ:
 
     @pytest.mark.timeout(120)
     def test_served_errors_match_in_process(self, deployment):
-        sharded, names, servers = deployment
+        sharded, names, server = deployment
         bad = [("rpq", "a(b", 1, 2),
                ("pattern_count", "triangle", names[0]),
                ("rpq", names[0], 0, 1)]
         local = sharded.execute(bad)
-        with servers["json"].connect() as client:
+        with server.connect() as client:
             remote = client.execute(bad)
         assert [r.ok for r in remote] == [r.ok for r in local]
         assert [r.error for r in remote] == [r.error for r in local]

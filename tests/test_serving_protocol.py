@@ -7,9 +7,9 @@ Covers the serving substrate in isolation from sockets and processes:
 * the planner — dedup, unhashable arguments, cache pre-filtering and
   bulk insertion (the cache-aware-planning satellite, asserted via
   ``cache_info`` counters on both handle types);
-* the wire codec — JSON and binary round trips for every value shape
-  the §V family produces, framing over a real socket pair, and
-  corruption handling;
+* the wire codec — JSON round trips for every value shape the §V
+  family produces, the pinned frame bytes, framing over a real socket
+  pair, and corruption and malformed-frame handling;
 * the per-request error channel — the regression suite for the old
   abort-the-batch-on-first-error behavior.
 """
@@ -34,8 +34,9 @@ from repro.serving import (
     plan_batch,
 )
 from repro.serving.codec import (
-    decode_message,
-    encode_message,
+    decode_frame,
+    encode_frame,
+    frame_bytes,
     recv_message,
     requests_to_wire,
     results_from_wire,
@@ -326,92 +327,89 @@ _VALUE_SHAPES = [
     0,
     {"max_out": 3, "min_out": 0, "max_in": 2,
      "min_in": 0, "max": 4, "min": 1},    # degree extrema
+    [-1, 0, -(2 ** 70), 2 ** 70],         # ints beyond 64 bits
 ]
 
 
+def _round_trip(message, seq):
+    """Encode and decode one frame; the sequence id must survive."""
+    got_seq, decoded = decode_frame(encode_frame(message, seq=seq))
+    assert got_seq == seq
+    return decoded
+
+
+#: Both frame variants: untagged ``J`` and sequence-tagged ``j``.
+_FRAMES = pytest.mark.parametrize("seq", [None, 7],
+                                  ids=["json", "json-seq"])
+
+
 class TestCodec:
-    @pytest.mark.parametrize("codec", ["json", "binary"])
-    def test_batch_roundtrip(self, codec):
+    @_FRAMES
+    def test_batch_roundtrip(self, seq):
         requests = [QueryRequest(QueryKind.REACH, (1, 9), id=0),
                     QueryRequest(QueryKind.DEGREE, (4, "in"), id=1),
                     QueryRequest(QueryKind.COMPONENTS, (), id=2)]
         message = {"op": "batch",
                    "requests": requests_to_wire(requests)}
-        decoded = decode_message(encode_message(message, codec))
+        decoded = _round_trip(message, seq)
         pairs = wire_to_requests(decoded["requests"])
         assert pairs == [(0, ("reach", 1, 9)),
                          (1, ("degree", 4, "in")),
                          (2, ("components",))]
 
-    @pytest.mark.parametrize("codec", ["json", "binary"])
+    @_FRAMES
     @pytest.mark.parametrize("value", _VALUE_SHAPES,
                              ids=lambda v: repr(v)[:20])
-    def test_value_shapes_survive_exactly(self, codec, value):
+    def test_value_shapes_survive_exactly(self, value, seq):
         message = {"op": "results",
                    "results": results_to_wire(
                        [QueryResult(id=3, value=value)])}
-        decoded = decode_message(encode_message(message, codec))
+        decoded = _round_trip(message, seq)
         (result,) = results_from_wire(decoded["results"])
         assert result.id == 3 and result.error is None
         assert result.value == value
         assert type(result.value) is type(value)
 
-    @pytest.mark.parametrize("codec", ["json", "binary"])
-    def test_error_results_roundtrip(self, codec):
+    @_FRAMES
+    def test_error_results_roundtrip(self, seq):
         message = {"op": "results",
                    "results": results_to_wire(
                        [QueryResult(id=1, error="node 9 out of range")])}
-        decoded = decode_message(encode_message(message, codec))
+        decoded = _round_trip(message, seq)
         (result,) = results_from_wire(decoded["results"])
         assert not result.ok
         assert result.error == "node 9 out of range"
 
-    @pytest.mark.parametrize("codec", ["json", "binary"])
-    def test_control_messages(self, codec):
+    @_FRAMES
+    def test_control_messages(self, seq):
         for op in ("ping", "pong", "info", "shutdown"):
-            assert decode_message(
-                encode_message({"op": op}, codec)) == {"op": op}
+            assert _round_trip({"op": op}, seq) == {"op": op}
 
-    def test_binary_negative_ints(self):
-        message = {"op": "results",
-                   "results": results_to_wire(
-                       [QueryResult(id=0, value=[-1, 0, -(2 ** 40)])])}
-        decoded = decode_message(encode_message(message, "binary"))
-        (result,) = results_from_wire(decoded["results"])
-        assert result.value == [-1, 0, -(2 ** 40)]
+    def test_frame_bytes_are_pinned(self):
+        """The tag bytes and the compact JSON body are the wire format;
+        any drift breaks every deployed peer."""
+        assert encode_frame({"op": "ping"}) == b'J{"op":"ping"}'
+        assert encode_frame({"op": "ping"}, seq=300) == \
+            b'j\xac\x02{"op":"ping"}'
+        assert frame_bytes({"op": "ping"}) == \
+            b'\x00\x00\x00\x0eJ{"op":"ping"}'
 
-    def test_binary_64_bit_boundary_ints_are_exact(self):
-        """The zigzag must be exact across the full encodable range
-        (the C-style `>> 63` idiom corrupts the negative edge)."""
-        extremes = [-(2 ** 63), -(2 ** 62) - 1, 2 ** 63 - 1]
-        message = {"op": "results",
-                   "results": results_to_wire(
-                       [QueryResult(id=0, value=extremes)])}
-        decoded = decode_message(encode_message(message, "binary"))
-        (result,) = results_from_wire(decoded["results"])
-        assert result.value == extremes
-
-    def test_binary_rejects_out_of_range_ints_at_encode_time(self):
-        """Beyond 64 bits the varint layer cannot decode; the codec
-        must refuse loudly instead of emitting undecodable bytes."""
-        message = {"op": "results",
-                   "results": results_to_wire(
-                       [QueryResult(id=0, value=2 ** 100)])}
-        with pytest.raises(WireError, match="64-bit range"):
-            encode_message(message, "binary")
+    def test_unencodable_value_names_its_type(self):
+        with pytest.raises(WireError, match="object"):
+            encode_frame({"op": "batch", "requests": [
+                {"id": 0, "kind": "out", "args": [object()]}]})
 
     def test_framing_over_a_real_socket(self):
         left, right = socket.socketpair()
         try:
-            for codec in ("json", "binary"):
-                message = {"op": "results",
-                           "results": results_to_wire(
-                               [QueryResult(id=0, value=[1, 2])])}
-                send_message(left, message, codec)
-                received = recv_message(right)
-                assert received["op"] == "results"
-                assert results_from_wire(
-                    received["results"])[0].value == [1, 2]
+            message = {"op": "results",
+                       "results": results_to_wire(
+                           [QueryResult(id=0, value=[1, 2])])}
+            send_message(left, message)
+            received = recv_message(right)
+            assert received["op"] == "results"
+            assert results_from_wire(
+                received["results"])[0].value == [1, 2]
             left.close()
             assert recv_message(right) is None  # clean EOF
         finally:
@@ -419,19 +417,40 @@ class TestCodec:
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(WireError, match="unknown frame tag"):
-            decode_message(b"\x00garbage")
+            decode_frame(b"\x00garbage")
 
-    def test_corrupt_binary_rejected(self):
-        good = encode_message({"op": "results",
-                               "results": [{"id": 1, "value": [1, 2]}]},
-                              "binary")
-        with pytest.raises(WireError):
-            decode_message(good[:len(good) // 2])
+    @pytest.mark.parametrize("payload", [b'B{"op":"ping"}',
+                                         b'b\x01{"op":"ping"}'],
+                             ids=["B", "b"])
+    def test_retired_binary_tags_are_unknown(self, payload):
+        with pytest.raises(WireError, match="unknown frame tag"):
+            decode_frame(payload)
 
     def test_corrupt_json_rejected(self):
         with pytest.raises(WireError, match="bad JSON"):
-            decode_message(b"J{nope")
+            decode_frame(b"J{nope")
 
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(WireError, match="unknown codec"):
-            encode_message({"op": "ping"}, "msgpack")
+    @pytest.mark.parametrize("wire", [
+        {"id": 0},                              # requests not a list
+        [{"kind": "out", "args": [1]}],         # entry without id
+        [{"id": "0", "kind": "out"}],           # non-int id
+        [{"id": True, "kind": "out"}],          # int lookalike id
+        [["out", 1]],                           # entry not an object
+        [{"id": 0, "kind": "out", "args": 1}],  # args not a list
+    ], ids=["not-a-list", "no-id", "str-id", "bool-id", "not-a-dict",
+            "bad-args"])
+    def test_malformed_batch_requests_raise_wire_error(self, wire):
+        with pytest.raises(WireError):
+            wire_to_requests(wire)
+
+    @pytest.mark.parametrize("wire", [
+        "results",
+        [{"value": 1}],
+        [{"id": 1.5, "value": 1}],
+        [7],
+        [{"id": 0, "error": ["not", "a", "string"]}],
+    ], ids=["not-a-list", "no-id", "float-id", "not-a-dict",
+            "bad-error"])
+    def test_malformed_results_raise_wire_error(self, wire):
+        with pytest.raises(WireError):
+            results_from_wire(wire)

@@ -9,8 +9,9 @@ spelling — through five surfaces, inline and planned:
 * :class:`CompressedGraph`;
 * :class:`ShardedCompressedGraph` with one shard, and with two
   (``bfs`` partitioner);
-* :class:`repro.serving.GraphClient` over the ``json`` and the
-  ``binary`` codec, against a served copy of the unsharded container.
+* :class:`repro.serving.GraphClient`, strict (``client-json``) and
+  pipelined (``client-pipelined``), against a served copy of the
+  unsharded container.
 
 Every error string, and every answer that does not name a node, is
 byte-identical on all five.  Answers that name nodes are
@@ -28,6 +29,7 @@ import pytest
 from helpers import truth_graph, truth_rpq
 
 from repro import CompressedGraph, ShardedCompressedGraph
+from repro.exceptions import QueryError
 from repro.bench.corpora import SMOKE_CORPORA
 from repro.rpq import compile_pattern
 from repro.serving import InlineExecutor, ThreadExecutor, connect, serve
@@ -35,7 +37,7 @@ from repro.serving import InlineExecutor, ThreadExecutor, connect, serve
 PATTERN = "(prop/3|prop/13)* prop/17"
 
 _SURFACES = ["unsharded", "sharded-k1", "sharded-k2-bfs",
-             "client-json", "client-binary"]
+             "client-json", "client-pipelined"]
 
 
 @pytest.fixture(scope="module")
@@ -49,21 +51,12 @@ def surfaces():
         "sharded-k2-bfs": ShardedCompressedGraph.compress(
             graph, alphabet, shards=2, partitioner="bfs"),
     }
-    servers = []
-    clients = []
-    try:
-        for codec in ("json", "binary"):
-            server = serve(unsharded.to_bytes(), codec=codec)
-            servers.append(server)
-            client = connect(server.endpoint, codec=codec)
-            clients.append(client)
-            built[f"client-{codec}"] = client
+    with serve(unsharded.to_bytes()) as server, \
+            connect(server.endpoint) as strict, \
+            connect(server.endpoint, pipeline=True) as pipelined:
+        built["client-json"] = strict
+        built["client-pipelined"] = pipelined
         yield built
-    finally:
-        for client in clients:
-            client.close()
-        for server in servers:
-            server.close()
 
 
 def _requests(handle):
@@ -183,7 +176,7 @@ def test_single_shot_methods_match_execute(surfaces):
     """The client's methods are the handles' methods: one round trip
     each, the same answers as the local handle."""
     local = surfaces["unsharded"]
-    client = surfaces["client-binary"]
+    client = surfaces["client-pipelined"]
     assert client.node_count() == local.node_count()
     assert client.degree() == local.degree()
     assert client.out(1) == local.out(1)
@@ -196,3 +189,25 @@ def test_single_shot_methods_match_execute(surfaces):
         local.batch([("out", 1), ("nodes",)], parallel=True)
     assert (client.cache_info, client.cache_hits,
             client.cache_misses) == ({}, 0, 0)
+
+
+@pytest.mark.parametrize("name", ["client-json", "client-pipelined"])
+def test_unencodable_argument_is_a_per_request_error(surfaces, name):
+    """An argument JSON cannot carry is refused locally, per request:
+    its neighbours still cross the wire, nothing is left pending, and
+    the unwrapping surfaces raise ``QueryError``, never ``TypeError``."""
+    client = surfaces[name]
+    local = surfaces["unsharded"]
+    bad, good = client.execute([("out", object()), ("out", 1)])
+    assert not bad.ok
+    assert "bad arguments for batch query 'out'" in bad.error
+    assert "object" in bad.error
+    assert good.value == local.out(1)
+    (alone,) = client.execute([("reach", 1, {2})])
+    assert "set" in alone.error
+    with pytest.raises(QueryError):
+        client.batch([("out", 1), ("out", object())])
+    with pytest.raises(QueryError):
+        client.query("out", object())
+    assert all(not conn._pending for conn in client._pool)
+    assert client.ping()
